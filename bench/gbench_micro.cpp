@@ -100,6 +100,38 @@ void BM_NDRangeLaunch(benchmark::State& state) {
 }
 BENCHMARK(BM_NDRangeLaunch)->Arg(64)->Arg(4096)->Arg(262144);
 
+void BM_MatrixmulTiled(benchmark::State& state) {
+  // Workgroup-form kernel at tile T = arg: T=4 runs the scalar (W=1) row
+  // body on AVX builds, T=8 and T=16 the vfloat<kNativeFloatWidth> body.
+  ocl::CpuDevice device(ocl::CpuDeviceConfig{.threads = 2});
+  ocl::Context ctx(device);
+  ocl::CommandQueue q(ctx);
+  constexpr std::size_t n = 128;
+  const auto t = static_cast<std::size_t>(state.range(0));
+  apps::FloatVec a = apps::random_floats(n * n, 3, -1.0f, 1.0f);
+  apps::FloatVec b = apps::random_floats(n * n, 4, -1.0f, 1.0f);
+  ocl::Buffer ba(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr,
+                 n * n * 4, a.data());
+  ocl::Buffer bb(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr,
+                 n * n * 4, b.data());
+  ocl::Buffer bc(ocl::MemFlags::ReadWrite, n * n * 4);
+  ocl::Kernel k = ctx.create_kernel(ocl::Program::builtin(), "matrixmul");
+  k.set_arg(0, ba);
+  k.set_arg(1, bb);
+  k.set_arg(2, bc);
+  for (std::size_t slot : {3u, 4u, 5u}) k.set_arg(slot, static_cast<unsigned>(n));
+  for (std::size_t slot : {6u, 7u, 8u}) k.set_arg_local(slot, t * t * 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        q.enqueue_ndrange(k, ocl::NDRange(n, n), ocl::NDRange(t, t)).seconds);
+    benchmark::DoNotOptimize(bc.as<float>());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * n * n));
+}
+BENCHMARK(BM_MatrixmulTiled)->Arg(4)->Arg(8)->Arg(16);
+
 // --- fiber switches --------------------------------------------------------------
 
 void BM_FiberBarrierRound(benchmark::State& state) {

@@ -68,7 +68,13 @@ gpusim::KernelCost naive_cost(const KernelArgs& a, const NDRange&,
 
 // --- tiled, workgroup (phase) form ----------------------------------------
 
-void tiled_workgroup(const KernelArgs& args, const WorkGroupCtx& wg) {
+// Each phase walks the square T x T tile row by row, W consecutive items of
+// a local row per vfloat<W> (T % W == 0). Lane L of the group at local x
+// is item (x + L, y), and it accumulates in the order the scalar item
+// would.
+template <int W>
+void tiled_rows(const KernelArgs& args, const WorkGroupCtx& wg) {
+  using V = simd::vfloat<W>;
   const float* a = args.buffer<const float>(0);
   const float* b = args.buffer<const float>(1);
   float* c = args.buffer<float>(2);
@@ -80,31 +86,47 @@ void tiled_workgroup(const KernelArgs& args, const WorkGroupCtx& wg) {
 
   const std::size_t t = wg.local_size(0);  // square tile: local = (T, T)
   const std::size_t tiles = k / t;
+  const std::size_t col0 = wg.global_offset(0) + wg.group_id(0) * t;
+  const std::size_t row0 = wg.global_offset(1) + wg.group_id(1) * t;
 
-  wg.for_each_item([&](const WorkItemCtx& it) {
-    cacc[it.local_id(1) * t + it.local_id(0)] = 0.0f;
-  });
+  for (std::size_t ly = 0; ly < t; ++ly) {
+    for (std::size_t lx = 0; lx < t; lx += W) V{0.0f}.store(cacc + ly * t + lx);
+  }
   for (std::size_t tile = 0; tile < tiles; ++tile) {
     // Load phase (implicit barrier follows).
-    wg.for_each_item([&](const WorkItemCtx& it) {
-      const std::size_t lx = it.local_id(0);
-      const std::size_t ly = it.local_id(1);
-      as[ly * t + lx] = a[it.global_id(1) * k + tile * t + lx];
-      bs[ly * t + lx] = b[(tile * t + ly) * n + it.global_id(0)];
-    });
-    // Accumulate phase.
-    wg.for_each_item([&](const WorkItemCtx& it) {
-      const std::size_t lx = it.local_id(0);
-      const std::size_t ly = it.local_id(1);
-      float sum = cacc[ly * t + lx];
-      for (std::size_t i = 0; i < t; ++i) sum += as[ly * t + i] * bs[i * t + lx];
-      cacc[ly * t + lx] = sum;
-    });
+    for (std::size_t ly = 0; ly < t; ++ly) {
+      const float* arow = a + (row0 + ly) * k + tile * t;
+      const float* brow = b + (tile * t + ly) * n + col0;
+      for (std::size_t lx = 0; lx < t; lx += W) {
+        V::load(arow + lx).store(as + ly * t + lx);
+        V::load(brow + lx).store(bs + ly * t + lx);
+      }
+    }
+    // Accumulate phase: the as element broadcasts, the bs row is unit
+    // stride across lanes.
+    for (std::size_t ly = 0; ly < t; ++ly) {
+      for (std::size_t lx = 0; lx < t; lx += W) {
+        V sum = V::load(cacc + ly * t + lx);
+        for (std::size_t i = 0; i < t; ++i) {
+          sum = simd::fmadd(V{as[ly * t + i]}, V::load(bs + i * t + lx), sum);
+        }
+        sum.store(cacc + ly * t + lx);
+      }
+    }
   }
-  wg.for_each_item([&](const WorkItemCtx& it) {
-    c[it.global_id(1) * n + it.global_id(0)] =
-        cacc[it.local_id(1) * t + it.local_id(0)];
-  });
+  for (std::size_t ly = 0; ly < t; ++ly) {
+    for (std::size_t lx = 0; lx < t; lx += W) {
+      V::load(cacc + ly * t + lx).store(c + (row0 + ly) * n + col0 + lx);
+    }
+  }
+}
+
+void tiled_workgroup(const KernelArgs& args, const WorkGroupCtx& wg) {
+  if (wg.local_size(0) % kW == 0) {
+    tiled_rows<kW>(args, wg);
+  } else {
+    tiled_rows<1>(args, wg);
+  }
 }
 
 gpusim::KernelCost tiled_cost(const KernelArgs& a, const NDRange&,

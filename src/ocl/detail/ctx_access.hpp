@@ -75,9 +75,6 @@ struct CtxAccess {
     }
     c.local_mem_base_ = local_mem;
   }
-  static NDRange group_offset(const WorkGroupCtx& c) noexcept {
-    return NDRange{c.offset_[0], c.offset_[1], c.offset_[2]};
-  }
   static void set_group_id(WorkGroupCtx& c, std::size_t g0, std::size_t g1,
                            std::size_t g2) noexcept {
     c.group_[0] = g0;

@@ -1,7 +1,5 @@
 #include "ocl/kernel.hpp"
 
-#include "ocl/detail/ctx_access.hpp"
-
 namespace mcl::ocl {
 
 void WorkItemCtx::barrier() const {
@@ -9,22 +7,6 @@ void WorkItemCtx::barrier() const {
               "barrier() requires the fiber executor (set needs_barrier on the "
               "kernel, or select ExecutorKind::Fiber)");
   (*barrier_fn_)();
-}
-
-WorkItemCtx WorkGroupCtx::make_item_template() const {
-  WorkItemCtx ctx;
-  CtxAccess::set_sizes(
-      ctx, NDRange{global_size_[0], global_size_[1], global_size_[2]},
-      NDRange{local_size_[0], local_size_[1], local_size_[2]},
-      NDRange{offset_[0], offset_[1], offset_[2]});
-  CtxAccess::set_group(ctx, group_[0], group_[1], group_[2]);
-  CtxAccess::set_local_mem(ctx, local_mem_base_);
-  return ctx;
-}
-
-void WorkGroupCtx::set_item(WorkItemCtx& ctx, std::size_t x, std::size_t y,
-                            std::size_t z) const {
-  CtxAccess::set_item(ctx, x, y, z);
 }
 
 void Program::add(KernelDef def) {

@@ -9,7 +9,10 @@
 //   - workgroup: void(const KernelArgs&, WorkGroupCtx&)      [optional]
 //     Workgroup-granularity form for kernels that use local memory with
 //     barriers structured as phases (the loop-fission shape CPU OpenCL
-//     compilers produce).
+//     compilers produce, pocl's "work-group function"). A phase is either
+//     a for_each_item() loop, whose item ids are set inline, or a loop the
+//     kernel writes itself over lane groups of each local row with
+//     simd::vfloat<W> (tiled Matrixmul), so one instruction covers W items.
 //   - gpu_cost:  per-workitem cost descriptor for the GPU timing model.
 //
 // Scalar kernels that call WorkItemCtx::barrier() must set needs_barrier so
@@ -185,6 +188,7 @@ class WorkItemCtx {
 
  private:
   friend struct CtxAccess;
+  friend class WorkGroupCtx;  // for_each_item fills items inline
   std::size_t global_[3] = {0, 0, 0};
   std::size_t local_[3] = {0, 0, 0};
   std::size_t group_[3] = {0, 0, 0};
@@ -230,12 +234,17 @@ class SimdItemCtx {
 };
 
 /// Workgroup-granularity view for local-memory kernels written as barrier-
-/// separated phases: each for_each_item() call plays the role of the code
-/// between two barriers.
+/// separated phases: each for_each_item() call, or each loop over lane
+/// groups of a local row, plays the role of the code between two barriers.
 class WorkGroupCtx {
  public:
   [[nodiscard]] std::size_t group_id(std::size_t dim = 0) const noexcept {
     return group_[dim];
+  }
+  /// global_work_offset component: item (l0, l1, l2) of this group has
+  /// global id global_offset(d) + group_id(d) * local_size(d) + l_d.
+  [[nodiscard]] std::size_t global_offset(std::size_t dim = 0) const noexcept {
+    return offset_[dim];
   }
   [[nodiscard]] std::size_t local_size(std::size_t dim = 0) const noexcept {
     return local_size_[dim];
@@ -253,14 +262,29 @@ class WorkGroupCtx {
   }
 
   /// Runs `fn(item)` for every workitem of this group (row-major, x fastest).
-  /// Successive calls are separated by an implicit workgroup barrier.
+  /// Successive calls are separated by an implicit workgroup barrier. The
+  /// item ids are written inline, each at its loop level, so the per-item
+  /// cost is the body alone.
   template <typename Fn>
   void for_each_item(Fn&& fn) const {
-    WorkItemCtx ctx = make_item_template();
+    WorkItemCtx ctx;
+    ctx.local_mem_base_ = local_mem_base_;
+    std::size_t base[3];  // global id of the group's first item
+    for (std::size_t d = 0; d < 3; ++d) {
+      ctx.group_[d] = group_[d];
+      ctx.global_size_[d] = global_size_[d];
+      ctx.local_size_[d] = local_size_[d];
+      base[d] = offset_[d] + group_[d] * local_size_[d];
+    }
     for (std::size_t z = 0; z < local_size_[2]; ++z) {
+      ctx.local_[2] = z;
+      ctx.global_[2] = base[2] + z;
       for (std::size_t y = 0; y < local_size_[1]; ++y) {
+        ctx.local_[1] = y;
+        ctx.global_[1] = base[1] + y;
         for (std::size_t x = 0; x < local_size_[0]; ++x) {
-          set_item(ctx, x, y, z);
+          ctx.local_[0] = x;
+          ctx.global_[0] = base[0] + x;
           fn(static_cast<const WorkItemCtx&>(ctx));
         }
       }
@@ -269,9 +293,6 @@ class WorkGroupCtx {
 
  private:
   friend struct CtxAccess;
-  [[nodiscard]] WorkItemCtx make_item_template() const;
-  void set_item(WorkItemCtx& ctx, std::size_t x, std::size_t y,
-                std::size_t z) const;
 
   std::size_t group_[3] = {0, 0, 0};
   std::size_t local_size_[3] = {1, 1, 1};

@@ -182,8 +182,87 @@ INSTANTIATE_TEST_SUITE_P(
                       MatShape{32, 48, 16, 8, "rect"},
                       MatShape{64, 64, 32, 16, "square16"},
                       MatShape{8, 8, 8, 2, "tile2"},
-                      MatShape{40, 24, 8, 8, "wide"}),
+                      MatShape{40, 24, 8, 8, "wide"},
+                      MatShape{64, 64, 64, 32, "tile32"},
+                      MatShape{32, 80, 48, 16, "rect16"}),
     [](const auto& info) { return info.param.label; });
+
+/// Binds the tiled kernel's arguments for an m x n x k product at tile t.
+Kernel tiled_matmul(Context& ctx, Buffer& a, Buffer& b, Buffer& c,
+                    std::size_t m, std::size_t n, std::size_t k,
+                    std::size_t t) {
+  Kernel kr = ctx.create_kernel(Program::builtin(), kMatrixMulKernel);
+  kr.set_arg(0, a);
+  kr.set_arg(1, b);
+  kr.set_arg(2, c);
+  kr.set_arg(3, static_cast<unsigned>(m));
+  kr.set_arg(4, static_cast<unsigned>(n));
+  kr.set_arg(5, static_cast<unsigned>(k));
+  for (std::size_t slot : {6u, 7u, 8u}) kr.set_arg_local(slot, t * t * 4);
+  return kr;
+}
+
+// The row-vector body derives its global rows and columns from
+// WorkGroupCtx::global_offset; items outside the offset sub-range must stay
+// untouched. Tile 6 takes the W=1 body on every build, tile 4 on AVX builds;
+// tiles 8 and 16 take the vector body.
+TEST(MatrixMulTiled, HonoursGlobalOffset) {
+  const std::size_t m = 48, n = 48, k = 48;
+  const std::size_t off_x = 4, off_y = 8;
+  const FloatVec a = random_floats(m * k, mcl::test::seed(12), -1.0f, 1.0f);
+  const FloatVec b = random_floats(k * n, mcl::test::seed(13), -1.0f, 1.0f);
+  FloatVec expect(m * n);
+  matmul_reference(a, b, expect, m, n, k);
+  CpuDevice device(CpuDeviceConfig{.threads = 2});
+  Context ctx(device);
+  CommandQueue queue(ctx);
+  constexpr float kSentinel = -7.0f;
+  for (std::size_t t : {4u, 6u, 8u, 16u}) {
+    const std::size_t cols = (n - off_x) / t * t, rows = (m - off_y) / t * t;
+    FloatVec init(m * n, kSentinel);
+    Buffer ba = make_in(ctx, a), bb = make_in(ctx, b);
+    Buffer bc = ctx.create_buffer(MemFlags::ReadWrite | MemFlags::CopyHostPtr,
+                                  m * n * 4, init.data());
+    Kernel kr = tiled_matmul(ctx, ba, bb, bc, m, n, k, t);
+    (void)queue.enqueue_ndrange(kr, NDRange(cols, rows), NDRange(t, t),
+                                NDRange(off_x, off_y));
+    const float* c = bc.as<float>();
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t col = 0; col < n; ++col) {
+        const bool inside = r >= off_y && r < off_y + rows && col >= off_x &&
+                            col < off_x + cols;
+        const float want = inside ? expect[r * n + col] : kSentinel;
+        ASSERT_NEAR(c[r * n + col], want, 1e-4f)
+            << "tile " << t << " at (" << r << ", " << col << ")";
+      }
+    }
+  }
+}
+
+// The Checked executor brackets every local block with canaries and throws
+// a SanitizerViolation on any finding, so a clean run proves the vector
+// loads and stores stay inside each t*t local arena.
+TEST(MatrixMulTiled, CheckedExecutorFindsNoLocalOverflow) {
+  CpuDevice device(
+      CpuDeviceConfig{.threads = 1, .executor = ExecutorKind::Checked});
+  Context ctx(device);
+  CommandQueue queue(ctx);
+  const std::size_t m = 64, n = 96, k = 64;
+  const FloatVec a = random_floats(m * k, mcl::test::seed(14), -1.0f, 1.0f);
+  const FloatVec b = random_floats(k * n, mcl::test::seed(15), -1.0f, 1.0f);
+  FloatVec expect(m * n);
+  matmul_reference(a, b, expect, m, n, k);
+  for (std::size_t t : {4u, 8u, 16u, 32u}) {
+    Buffer ba = make_in(ctx, a), bb = make_in(ctx, b);
+    Buffer bc = make_out(ctx, m * n);
+    Kernel kr = tiled_matmul(ctx, ba, bb, bc, m, n, k, t);
+    EXPECT_NO_THROW((void)queue.enqueue_ndrange(kr, NDRange(n, m),
+                                                NDRange(t, t)))
+        << "tile " << t;
+    EXPECT_LT(max_rel_diff({bc.as<float>(), m * n}, expect, 1e-3), 5e-4)
+        << "tile " << t;
+  }
+}
 
 // --- Reduction / Histogram / PrefixSum ----------------------------------------
 
