@@ -98,7 +98,9 @@ void BM_NDRangeLaunch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_NDRangeLaunch)->Arg(64)->Arg(4096)->Arg(262144);
+// 1 << 20 is mclbench suite_default's Square size: 16,384 groups of 64,
+// where the per-group setup GroupRunner::run_groups amortizes dominates.
+BENCHMARK(BM_NDRangeLaunch)->Arg(64)->Arg(4096)->Arg(262144)->Arg(1 << 20);
 
 void BM_MatrixmulTiled(benchmark::State& state) {
   // Workgroup-form kernel at tile T = arg: T=4 runs the scalar (W=1) row

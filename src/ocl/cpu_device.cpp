@@ -260,14 +260,15 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
       const std::size_t g = config_.dispatch_order(k, total);
       core::check(g < total, core::Status::InvalidValue,
                   "dispatch_order returned an out-of-range workgroup index");
-      runner.run_group(g);
+      runner.run_groups(g, g + 1);
     }
     result.seconds = core::elapsed_s(t0, core::now());
     return result;
   }
 
-  // Workgroups are claimed in chunks (as TBB-based runtimes do) so the
-  // shared-counter cost amortizes; per-group and per-item costs remain.
+  // Workgroups are claimed in chunks (as TBB-based runtimes do) and each
+  // claimed chunk runs as one GroupRunner range, so the shared-counter cost
+  // and the per-group setup both amortize; per-item costs remain.
   // `threads` is the shard width: sub-device launches size their chunks for
   // the shard, not the whole pool.
   const std::size_t chunk = std::clamp<std::size_t>(
@@ -282,9 +283,12 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
   prof::LaunchAcc acc;
   const core::TimePoint t0 = core::now();
   if (!trace::enabled() && !prof::profiling()) {
-    result.schedule = impl_->pool.parallel_run_on(
+    result.schedule = impl_->pool.parallel_ranges_on(
         span, dispatch_groups,
-        [&runner](std::size_t g) { runner.run_group(g); }, chunk, scheduler);
+        [&runner](std::size_t begin, std::size_t end) {
+          runner.run_groups(begin, end);
+        },
+        chunk, scheduler);
   } else {
     // Instrumented launch: a trace span per workgroup tagged (group id,
     // worker id, estimated bytes touched) under an enclosing per-kernel
@@ -314,7 +318,7 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
                                      : 0,
                                  est_bytes);
           prof::GroupScope hw(accp);
-          runner.run_group(g);
+          runner.run_groups(g, g + 1);
         },
         chunk, scheduler);
   }
@@ -376,7 +380,7 @@ LaunchResult CpuDevice::launch_pinned(const KernelDef& def,
             trace::ScopedSpan span(wg_name, "group,cpu,est_bytes", g,
                                    static_cast<std::uint64_t>(cpu), est_bytes);
             prof::GroupScope hw(accp);
-            runner.run_group(g);
+            runner.run_groups(g, g + 1);
           }
         });
   }

@@ -41,7 +41,7 @@ CheckedRunner::CheckedRunner(const KernelDef& def, const KernelArgs& args,
       // The GroupRunner constructor performs all launch validation (unset
       // args, divisibility, barrier/executor compatibility) and resolves the
       // NULL local size; Checked degrades inside it to Fiber/Loop, which is
-      // exactly the compatibility we need. Its run_group() is never called —
+      // exactly the compatibility we need. Its run_groups() is never called —
       // execution happens here, instrumented.
       validator_(def, args, global, local, ExecutorKind::Checked,
                  fiber_stack_bytes, offset) {

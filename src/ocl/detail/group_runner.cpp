@@ -11,9 +11,10 @@ namespace mcl::ocl::detail {
 
 namespace {
 
-/// Thread-local scratch backing workgroup local memory. One workgroup runs
-/// entirely on one thread (or one fiber group on one thread), so the arena
-/// can be reused across groups without synchronization.
+/// Thread-local scratch backing workgroup local memory. A range of
+/// workgroups runs entirely on one thread (each group on that thread or as
+/// one fiber group on it), one group after another, so the arena is reused
+/// across groups without synchronization.
 struct LocalArena {
   std::vector<std::byte> bytes;
   std::vector<void*> ptrs;
@@ -116,103 +117,116 @@ void* const* GroupRunner::prepare_local_mem() const {
   return arena.ptrs.data();
 }
 
-void GroupRunner::run_group(std::size_t linear_group) const {
-  const std::size_t g0 = linear_group % ngroups_[0];
-  const std::size_t g1 = (linear_group / ngroups_[0]) % ngroups_[1];
-  const std::size_t g2 = linear_group / (ngroups_[0] * ngroups_[1]);
+void GroupRunner::run_groups(std::size_t begin, std::size_t end) const {
+  const GroupId first = {begin % ngroups_[0],
+                         (begin / ngroups_[0]) % ngroups_[1],
+                         begin / (ngroups_[0] * ngroups_[1])};
+  const std::size_t count = end - begin;
   void* const* local_mem = prepare_local_mem();
 
   if (def_.workgroup != nullptr) {
-    run_group_wgfn(g0, g1, g2, local_mem);
+    run_wgfn(first, count, local_mem);
     return;
   }
   switch (kind_) {
-    case ExecutorKind::Loop: run_group_loop(g0, g1, g2, local_mem); break;
-    case ExecutorKind::Simd: run_group_simd(g0, g1, g2, local_mem); break;
-    case ExecutorKind::Fiber: run_group_fiber(g0, g1, g2, local_mem); break;
+    case ExecutorKind::Loop: run_loop(first, count, local_mem); break;
+    case ExecutorKind::Simd: run_simd(first, count, local_mem); break;
+    case ExecutorKind::Fiber: run_fiber(first, count, local_mem); break;
     case ExecutorKind::Auto:
     case ExecutorKind::Checked:
       break;  // both resolved to a concrete kind in the constructor
   }
 }
 
-void GroupRunner::run_group_loop(std::size_t g0, std::size_t g1, std::size_t g2,
-                                 void* const* local_mem) const {
+void GroupRunner::run_loop(GroupId g, std::size_t count,
+                           void* const* local_mem) const {
   WorkItemCtx ctx;
   CtxAccess::set_sizes(ctx, global_, local_, offset_);
-  CtxAccess::set_group(ctx, g0, g1, g2);
   CtxAccess::set_local_mem(ctx, local_mem);
-  for (std::size_t z = 0; z < local_[2]; ++z) {
-    for (std::size_t y = 0; y < local_[1]; ++y) {
-      for (std::size_t x = 0; x < local_[0]; ++x) {
-        CtxAccess::set_item(ctx, x, y, z);
-        def_.scalar(args_, ctx);
+  const std::size_t lx = local_[0], ly = local_[1], lz = local_[2];
+  for (; count > 0; --count, next_group(g)) {
+    CtxAccess::set_group(ctx, g[0], g[1], g[2]);
+    for (std::size_t z = 0; z < lz; ++z) {
+      for (std::size_t y = 0; y < ly; ++y) {
+        for (std::size_t x = 0; x < lx; ++x) {
+          CtxAccess::set_item(ctx, x, y, z);
+          def_.scalar(args_, ctx);
+        }
       }
     }
   }
 }
 
-void GroupRunner::run_group_simd(std::size_t g0, std::size_t g1, std::size_t g2,
-                                 void* const* local_mem) const {
+void GroupRunner::run_simd(GroupId g, std::size_t count,
+                           void* const* local_mem) const {
   constexpr std::size_t W = static_cast<std::size_t>(simd::kNativeFloatWidth);
   SimdItemCtx vctx;
   CtxAccess::init_simd(vctx, global_, local_, simd::kNativeFloatWidth);
   WorkItemCtx ctx;  // scalar remainder
   CtxAccess::set_sizes(ctx, global_, local_, offset_);
-  CtxAccess::set_group(ctx, g0, g1, g2);
   CtxAccess::set_local_mem(ctx, local_mem);
 
-  const std::size_t off0 = offset_.offset_component(0);
-  const std::size_t lx = local_[0];
+  const std::size_t lx = local_[0], ly = local_[1], lz = local_[2];
+  const std::size_t off[3] = {offset_.offset_component(0),
+                              offset_.offset_component(1),
+                              offset_.offset_component(2)};
   const std::size_t vec_end = lx - lx % W;
   const std::size_t lane_groups = vec_end / W;
-  for (std::size_t z = 0; z < local_[2]; ++z) {
-    for (std::size_t y = 0; y < local_[1]; ++y) {
-      const std::size_t gy = offset_.offset_component(1) + g1 * local_[1] + y;
-      const std::size_t gz = offset_.offset_component(2) + g2 * local_[2] + z;
-      if (lane_groups > 0) {
-        // One call covers every full lane group of the row — the batching a
-        // compiled workgroup loop gets, so per-item dispatch cost stays off
-        // the vectorized path.
-        CtxAccess::set_simd_pos(vctx, off0 + g0 * lx, lane_groups, gy, gz);
-        def_.simd(args_, vctx);
-      }
-      for (std::size_t x = vec_end; x < lx; ++x) {
-        CtxAccess::set_item(ctx, x, y, z);
-        def_.scalar(args_, ctx);
+  for (; count > 0; --count, next_group(g)) {
+    CtxAccess::set_group(ctx, g[0], g[1], g[2]);
+    const std::size_t base0 = off[0] + g[0] * lx;
+    const std::size_t base1 = off[1] + g[1] * ly;
+    const std::size_t base2 = off[2] + g[2] * lz;
+    for (std::size_t z = 0; z < lz; ++z) {
+      for (std::size_t y = 0; y < ly; ++y) {
+        if (lane_groups > 0) {
+          // One call covers every full lane group of the row — the batching
+          // a compiled workgroup loop gets, so per-item dispatch cost stays
+          // off the vectorized path.
+          CtxAccess::set_simd_pos(vctx, base0, lane_groups, base1 + y,
+                                  base2 + z);
+          def_.simd(args_, vctx);
+        }
+        for (std::size_t x = vec_end; x < lx; ++x) {
+          CtxAccess::set_item(ctx, x, y, z);
+          def_.scalar(args_, ctx);
+        }
       }
     }
   }
 }
 
-void GroupRunner::run_group_fiber(std::size_t g0, std::size_t g1,
-                                  std::size_t g2,
-                                  void* const* local_mem) const {
+void GroupRunner::run_fiber(GroupId g, std::size_t count,
+                            void* const* local_mem) const {
   const std::size_t items = local_.total();
-  threading::run_fiber_group(
-      items,
-      [&](std::size_t index, threading::FiberYield& yield) {
-        std::function<void()> barrier_fn = [&yield] { yield.barrier(); };
-        WorkItemCtx ctx;
-        CtxAccess::set_sizes(ctx, global_, local_, offset_);
-        CtxAccess::set_group(ctx, g0, g1, g2);
-        CtxAccess::set_local_mem(ctx, local_mem);
-        CtxAccess::set_barrier(ctx, &barrier_fn);
-        const std::size_t x = index % local_[0];
-        const std::size_t y = (index / local_[0]) % local_[1];
-        const std::size_t z = index / (local_[0] * local_[1]);
-        CtxAccess::set_item(ctx, x, y, z);
-        def_.scalar(args_, ctx);
-      },
-      fiber_stack_bytes_);
+  for (; count > 0; --count, next_group(g)) {
+    threading::run_fiber_group(
+        items,
+        [&](std::size_t index, threading::FiberYield& yield) {
+          std::function<void()> barrier_fn = [&yield] { yield.barrier(); };
+          WorkItemCtx ctx;
+          CtxAccess::set_sizes(ctx, global_, local_, offset_);
+          CtxAccess::set_group(ctx, g[0], g[1], g[2]);
+          CtxAccess::set_local_mem(ctx, local_mem);
+          CtxAccess::set_barrier(ctx, &barrier_fn);
+          const std::size_t x = index % local_[0];
+          const std::size_t y = (index / local_[0]) % local_[1];
+          const std::size_t z = index / (local_[0] * local_[1]);
+          CtxAccess::set_item(ctx, x, y, z);
+          def_.scalar(args_, ctx);
+        },
+        fiber_stack_bytes_);
+  }
 }
 
-void GroupRunner::run_group_wgfn(std::size_t g0, std::size_t g1, std::size_t g2,
-                                 void* const* local_mem) const {
+void GroupRunner::run_wgfn(GroupId g, std::size_t count,
+                           void* const* local_mem) const {
   WorkGroupCtx ctx;
   CtxAccess::init_group(ctx, global_, local_, local_mem, offset_);
-  CtxAccess::set_group_id(ctx, g0, g1, g2);
-  def_.workgroup(args_, ctx);
+  for (; count > 0; --count, next_group(g)) {
+    CtxAccess::set_group_id(ctx, g[0], g[1], g[2]);
+    def_.workgroup(args_, ctx);
+  }
 }
 
 }  // namespace mcl::ocl::detail

@@ -1,8 +1,9 @@
 // Internal: per-launch execution state shared by the CPU and simulated-GPU
-// devices. Validates the launch once, then executes workgroups by linear
-// index with the selected executor.
+// devices. Validates the launch once, then executes ranges of workgroups by
+// linear index with the selected executor.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -24,19 +25,30 @@ class GroupRunner {
   [[nodiscard]] const NDRange& local() const noexcept { return local_; }
   [[nodiscard]] ExecutorKind executor() const noexcept { return kind_; }
 
-  /// Executes one workgroup. Thread-safe across distinct `linear_group`
-  /// values; uses a thread-local arena for local memory.
-  void run_group(std::size_t linear_group) const;
+  /// Executes the workgroups with linear ids [begin, end) in order, on the
+  /// calling thread. The per-group setup (id decode, local-memory arena,
+  /// executor choice, context construction) is paid once per range; each
+  /// group then only updates its ids. Thread-safe across disjoint ranges;
+  /// the groups of one range share a thread-local local-memory arena.
+  void run_groups(std::size_t begin, std::size_t end) const;
 
  private:
-  void run_group_loop(std::size_t g0, std::size_t g1, std::size_t g2,
-                      void* const* local_mem) const;
-  void run_group_simd(std::size_t g0, std::size_t g1, std::size_t g2,
-                      void* const* local_mem) const;
-  void run_group_fiber(std::size_t g0, std::size_t g1, std::size_t g2,
-                       void* const* local_mem) const;
-  void run_group_wgfn(std::size_t g0, std::size_t g1, std::size_t g2,
-                      void* const* local_mem) const;
+  using GroupId = std::array<std::size_t, 3>;
+
+  /// Steps `g` to the next linear group, carrying into dims 1 and 2.
+  void next_group(GroupId& g) const noexcept {
+    if (++g[0] < ngroups_[0]) return;
+    g[0] = 0;
+    if (++g[1] < ngroups_[1]) return;
+    g[1] = 0;
+    ++g[2];
+  }
+
+  // Each runs `count` consecutive groups starting at group id `g`.
+  void run_loop(GroupId g, std::size_t count, void* const* local_mem) const;
+  void run_simd(GroupId g, std::size_t count, void* const* local_mem) const;
+  void run_fiber(GroupId g, std::size_t count, void* const* local_mem) const;
+  void run_wgfn(GroupId g, std::size_t count, void* const* local_mem) const;
 
   /// Fills the thread-local local-memory arena; returns pointer table.
   [[nodiscard]] void* const* prepare_local_mem() const;

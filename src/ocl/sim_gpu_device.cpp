@@ -25,7 +25,7 @@ LaunchResult SimGpuDevice::launch(const KernelDef& def, const KernelArgs& args,
   result.executor_used = runner.executor();
 
   const core::TimePoint t0 = core::now();
-  for (std::size_t g = 0; g < runner.total_groups(); ++g) runner.run_group(g);
+  runner.run_groups(0, runner.total_groups());
   const core::Seconds measured = core::elapsed_s(t0, core::now());
 
   if (def.gpu_cost != nullptr) {

@@ -53,8 +53,7 @@ thread_local int tl_worker_index = -1;
 
 ThreadPool::ThreadPool(std::size_t threads, bool pin) {
   if (threads == 0) threads = static_cast<std::size_t>(logical_cpu_count());
-  worker_batch_ =
-      std::vector<std::atomic<std::shared_ptr<Batch>>>(threads);
+  worker_batch_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i, pin] { worker_loop(i, pin); });
@@ -145,7 +144,7 @@ void ThreadPool::drain_batch_stealing(Batch& batch) {
   for (;;) {
     const auto [b, e] = claim_front(my_slot);
     if (b != e) {
-      for (std::size_t i = b; i < e; ++i) (*batch.fn)(i);
+      (*batch.fn)(b, e);
       executed += e - b;
       continue;
     }
@@ -175,7 +174,7 @@ void ThreadPool::drain_batch(Batch& batch) {
         batch.next.fetch_add(batch.chunk, std::memory_order_relaxed);
     if (begin >= batch.count) break;
     const std::size_t end = std::min(begin + batch.chunk, batch.count);
-    for (std::size_t i = begin; i < end; ++i) (*batch.fn)(i);
+    (*batch.fn)(begin, end);
     batch.done.fetch_add(end - begin, std::memory_order_acq_rel);
     executed += end - begin;
   }
@@ -187,16 +186,25 @@ void ThreadPool::drain_batch(Batch& batch) {
   }
 }
 
-RunStats ThreadPool::parallel_run(std::size_t count,
-                                  const std::function<void(std::size_t)>& fn,
+RunStats ThreadPool::parallel_run(std::size_t count, const IndexFn& fn,
                                   std::size_t chunk, ScheduleStrategy strategy) {
   return parallel_run_on({0, workers_.size()}, count, fn, chunk, strategy);
 }
 
 RunStats ThreadPool::parallel_run_on(WorkerSpan span, std::size_t count,
-                                     const std::function<void(std::size_t)>& fn,
-                                     std::size_t chunk,
+                                     const IndexFn& fn, std::size_t chunk,
                                      ScheduleStrategy strategy) {
+  return parallel_ranges_on(
+      span, count,
+      [&fn](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      },
+      chunk, strategy);
+}
+
+RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
+                                        const RangeFn& fn, std::size_t chunk,
+                                        ScheduleStrategy strategy) {
   if (count == 0) return {};
   if (chunk == 0) chunk = 1;
   span.end = std::min(span.end, workers_.size());
@@ -237,7 +245,7 @@ RunStats ThreadPool::parallel_run_on(WorkerSpan span, std::size_t count,
   {
     std::lock_guard lock(mutex_);
     for (std::size_t i = span.begin; i < span.end; ++i) {
-      worker_batch_[i].store(batch, std::memory_order_release);
+      worker_batch_[i] = batch;
     }
   }
   cv_.notify_all();
@@ -247,14 +255,15 @@ RunStats ThreadPool::parallel_run_on(WorkerSpan span, std::size_t count,
   while (batch->done.load(std::memory_order_acquire) < count) {
     if (++spins > 64) std::this_thread::yield();
   }
-  // CAS rather than a plain store: only retire *our* batch from each slot,
-  // never a newer one another caller may have published since. A worker
-  // normally clears its own slot after draining; this sweep covers workers
-  // that never woke up before the batch completed.
-  for (std::size_t i = span.begin; i < span.end; ++i) {
-    std::shared_ptr<Batch> expected = batch;
-    worker_batch_[i].compare_exchange_strong(expected, nullptr,
-                                             std::memory_order_acq_rel);
+  // A worker takes its slot's batch when it wakes; this sweep retires the
+  // batch from the slots of workers that never woke before it completed.
+  // Only *our* batch: a slot may already hold a newer one another caller
+  // published since.
+  {
+    std::lock_guard lock(mutex_);
+    for (std::size_t i = span.begin; i < span.end; ++i) {
+      if (worker_batch_[i] == batch) worker_batch_[i].reset();
+    }
   }
 
   RunStats stats;
@@ -286,31 +295,29 @@ void ThreadPool::worker_loop(std::size_t worker_index, bool pin) {
   tl_worker_pool = this;
   tl_worker_index = static_cast<int>(worker_index);
   for (;;) {
-    // Help with a batch published to our slot. The shared_ptr copy keeps the
-    // batch alive even if the producer finishes and releases it while we
-    // drain; a drain of an already-exhausted batch is a no-op (fn is only
-    // dereferenced after a successful index claim).
-    if (std::shared_ptr<Batch> b =
-            worker_batch_[worker_index].load(std::memory_order_acquire);
-        b != nullptr) {
-      drain_batch(*b);
-      // Clear only *our* batch: the slot may already hold a newer one.
-      worker_batch_[worker_index].compare_exchange_strong(
-          b, nullptr, std::memory_order_acq_rel);
-      continue;
-    }
+    std::shared_ptr<Batch> batch;
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
       cv_.wait(lock, [this, worker_index] {
-        return stop_ || !tasks_.empty() ||
-               worker_batch_[worker_index].load(std::memory_order_acquire) !=
-                   nullptr;
+        return stop_ || !tasks_.empty() || worker_batch_[worker_index];
       });
-      if (stop_ && tasks_.empty()) return;
-      if (tasks_.empty()) continue;  // woken for a batch; handled above
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
+      if (worker_batch_[worker_index]) {
+        // Take the batch published to our slot. Our reference keeps it
+        // alive even if the producer finishes and releases it while we
+        // drain; a drain of an already-exhausted batch is a no-op (fn is
+        // only called after a successful index claim).
+        batch = std::move(worker_batch_[worker_index]);
+      } else if (stop_ && tasks_.empty()) {
+        return;
+      } else {
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      }
+    }
+    if (batch) {
+      drain_batch(*batch);
+      continue;
     }
     {
       OccupancyScope occupancy;

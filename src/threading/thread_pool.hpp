@@ -2,11 +2,14 @@
 //
 // Two entry points:
 //  - submit(): generic fire-and-forget tasks (used by the command queue).
-//  - parallel_run(): execute `count` index-addressed tasks and wait. This is
-//    the path NDRange launches take: one index = one workgroup, workers pop
-//    indices from a shared atomic counter (the same workgroup-stealing scheme
-//    CPU OpenCL runtimes use), so per-workgroup scheduling cost is real and
-//    measurable.
+//  - parallel_ranges_on(): split [0, count) into chunks, run fn(begin, end)
+//    once per claimed chunk, and wait. This is the path NDRange launches
+//    take: one index = one workgroup, workers claim chunks of consecutive
+//    workgroups from a shared atomic counter or by work stealing (the range-
+//    per-task scheme CPU OpenCL runtimes use), and the device runs a whole
+//    chunk per call, so per-group setup is paid once per chunk while the
+//    per-claim scheduling cost stays real and measurable. parallel_run() and
+//    parallel_run_on() are per-index adapters over the same path.
 #pragma once
 
 #include <array>
@@ -74,26 +77,35 @@ class ThreadPool {
   /// Enqueues a task; runs on some worker eventually.
   void submit(std::function<void()> task);
 
-  /// Runs fn(i) for i in [0, count) across the pool (the calling thread
-  /// participates), returning when all indices completed. `chunk` indices
-  /// are claimed per counter pop (CentralCounter) or per owner claim
-  /// (WorkStealing). Not reentrant: do not call parallel_run from inside fn.
-  /// WorkStealing supports counts < 2^32. Returns load-balance statistics.
-  RunStats parallel_run(std::size_t count,
-                        const std::function<void(std::size_t)>& fn,
+  using IndexFn = std::function<void(std::size_t)>;
+  /// fn(begin, end) runs the indices [begin, end) of one claimed chunk.
+  using RangeFn = std::function<void(std::size_t, std::size_t)>;
+
+  /// Runs fn over a partition of [0, count) into ranges of at most `chunk`
+  /// indices, on the workers of `span` plus the calling thread, returning
+  /// when every index completed. One call covers one claim: a counter pop
+  /// (CentralCounter) or an owner/thief claim (WorkStealing). The calling
+  /// thread always participates and guarantees completion even if every
+  /// spanned worker is busy elsewhere. Concurrent calls on disjoint spans
+  /// proceed in parallel with disjoint worker sets — the sub-device sharding
+  /// substrate. Concurrent calls on overlapping spans are safe but contend: a
+  /// worker helps one batch at a time, and each caller finishes its own
+  /// batch regardless. Not reentrant: do not call it from inside fn.
+  /// WorkStealing supports counts < 2^32. Returns load-balance statistics
+  /// counted in indices, not calls.
+  RunStats parallel_ranges_on(WorkerSpan span, std::size_t count,
+                              const RangeFn& fn, std::size_t chunk = 1,
+                              ScheduleStrategy strategy = ScheduleStrategy::CentralCounter);
+
+  /// Per-index adapter: runs fn(i) for every i in [0, count) over the whole
+  /// pool, with parallel_ranges_on's claiming and statistics.
+  RunStats parallel_run(std::size_t count, const IndexFn& fn,
                         std::size_t chunk = 1,
                         ScheduleStrategy strategy = ScheduleStrategy::CentralCounter);
 
-  /// parallel_run restricted to the workers of `span` (plus the calling
-  /// thread, which always participates and guarantees completion even if
-  /// every spanned worker is busy elsewhere). Concurrent calls on disjoint
-  /// spans proceed in parallel with disjoint worker sets — the sub-device
-  /// sharding substrate. Concurrent calls on overlapping spans are safe but
-  /// contend: a worker helps one batch at a time, and each caller finishes
-  /// its own batch regardless.
+  /// parallel_run restricted to the workers of `span`.
   RunStats parallel_run_on(WorkerSpan span, std::size_t count,
-                           const std::function<void(std::size_t)>& fn,
-                           std::size_t chunk = 1,
+                           const IndexFn& fn, std::size_t chunk = 1,
                            ScheduleStrategy strategy = ScheduleStrategy::CentralCounter);
 
   /// Index of the calling thread within THIS pool's workers, or -1 when the
@@ -111,7 +123,7 @@ class ThreadPool {
     std::atomic<std::size_t> done{0};
     std::size_t count = 0;
     std::size_t chunk = 1;
-    const std::function<void(std::size_t)>* fn = nullptr;
+    const RangeFn* fn = nullptr;
     // WorkStealing state: per-slot packed ranges (next:32 | end:32) and a
     // participant-id dispenser. Slots cover only the batch's span workers
     // plus the caller, so steals stay inside the shard by construction.
@@ -133,12 +145,13 @@ class ThreadPool {
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::size_t in_flight_ = 0;
-  /// Per-worker active batch slot. Published under mutex_ (ordering against
-  /// the workers' cv wait predicate — a lock-free store can land between the
-  /// predicate check and the sleep, losing the wakeup) but read lock-free.
-  /// A worker drains only its own slot; disjoint spans therefore run
-  /// concurrently without sharing any scheduling state.
-  std::vector<std::atomic<std::shared_ptr<Batch>>> worker_batch_;
+  /// Per-worker pending batch slot, guarded by mutex_: the workers read it
+  /// in their cv wait predicate, so a store outside the lock could land
+  /// between the predicate check and the sleep and lose the wakeup. A worker
+  /// takes (and so clears) only its own slot, then drains the batch without
+  /// the lock; disjoint spans therefore run concurrently without sharing
+  /// any scheduling state.
+  std::vector<std::shared_ptr<Batch>> worker_batch_;
   bool stop_ = false;
 };
 

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -328,6 +330,125 @@ TEST(RunStatistics, ZeroCountEmptyStats) {
   ThreadPool pool(2);
   const RunStats stats = pool.parallel_run(0, [](std::size_t) {});
   EXPECT_EQ(stats.participants, 0u);
+}
+
+}  // namespace
+}  // namespace mcl::threading
+
+// --- range dispatch -------------------------------------------------------------
+
+namespace mcl::threading {
+namespace {
+
+/// Indices executed, reconstructed from RunStats (max * participants is
+/// exactly imbalance * total).
+std::size_t stats_total(const RunStats& s) {
+  if (s.participants == 0) return 0;
+  return static_cast<std::size_t>(
+      std::llround(static_cast<double>(s.max_per_participant) *
+                   static_cast<double>(s.participants) / s.imbalance));
+}
+
+/// Runs parallel_ranges_on(span, count, chunk, strategy) and checks that
+/// every index ran exactly once, that every call was a non-empty range of
+/// at most `chunk` indices, and that RunStats counts `count` indices.
+void expect_ranges_cover(ThreadPool& pool, WorkerSpan span, std::size_t count,
+                         std::size_t chunk, ScheduleStrategy strategy) {
+  std::vector<std::atomic<int>> hits(count);
+  std::atomic<int> bad_ranges{0};
+  std::atomic<std::size_t> calls{0};
+  const RunStats stats = pool.parallel_ranges_on(
+      span, count,
+      [&](std::size_t begin, std::size_t end) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        if (begin >= end || end - begin > chunk || end > count) {
+          bad_ranges.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      },
+      chunk, strategy);
+  const std::string where =
+      "count=" + std::to_string(count) + " chunk=" + std::to_string(chunk) +
+      (strategy == ScheduleStrategy::WorkStealing ? " stealing" : " central");
+  EXPECT_EQ(bad_ranges.load(), 0) << where;
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << where << " index " << i;
+  }
+  EXPECT_GE(calls.load(), (count + chunk - 1) / chunk) << where;
+  EXPECT_EQ(stats_total(stats), count) << where;
+  EXPECT_LE(stats.max_per_participant, count) << where;
+}
+
+TEST(ThreadPool, RangesCoverEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (ScheduleStrategy s :
+       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
+    for (std::size_t chunk : {1u, 7u, 64u}) {
+      for (std::size_t count : {1u, 6u, 7u, 64u, 1003u}) {
+        expect_ranges_cover(pool, {0, pool.thread_count()}, count, chunk, s);
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, RangesChunkLargerThanCount) {
+  ThreadPool pool(2);
+  for (ScheduleStrategy s :
+       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
+    expect_ranges_cover(pool, {0, pool.thread_count()}, 50, 500, s);
+  }
+  // Under the central counter the first claim takes everything: one call.
+  std::atomic<int> calls{0};
+  pool.parallel_ranges_on({0, pool.thread_count()}, 50,
+                          [&](std::size_t begin, std::size_t end) {
+                            calls.fetch_add(1);
+                            EXPECT_EQ(begin, 0u);
+                            EXPECT_EQ(end, 50u);
+                          },
+                          500);
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(ThreadPool, RangesStayInsideSubSpan) {
+  ThreadPool pool(4);
+  const WorkerSpan span{1, 3};
+  for (ScheduleStrategy s :
+       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
+    for (std::size_t chunk : {1u, 7u, 64u}) {
+      expect_ranges_cover(pool, span, 2000, chunk, s);
+      std::atomic<int> outside{0};
+      pool.parallel_ranges_on(
+          span, 2000,
+          [&](std::size_t, std::size_t) {
+            const int w = pool.worker_index_here();
+            // -1 is the calling thread, which always participates.
+            if (w != -1 && !span.contains(static_cast<std::size_t>(w))) {
+              outside.fetch_add(1);
+            }
+          },
+          chunk, s);
+      EXPECT_EQ(outside.load(), 0) << "chunk " << chunk;
+    }
+  }
+}
+
+TEST(ThreadPool, IndexAdapterOnSubSpanCoversEachIndexOnce) {
+  ThreadPool pool(4);
+  for (ScheduleStrategy s :
+       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
+    for (std::size_t chunk : {1u, 7u, 64u, 5000u}) {
+      constexpr std::size_t kN = 1003;
+      std::vector<std::atomic<int>> hits(kN);
+      const RunStats stats = pool.parallel_run_on(
+          {2, 4}, kN, [&](std::size_t i) { hits[i].fetch_add(1); }, chunk, s);
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "chunk " << chunk << " index " << i;
+      }
+      EXPECT_EQ(stats_total(stats), kN) << "chunk " << chunk;
+      EXPECT_LE(stats.participants, 3u);  // 2 span workers + caller
+    }
+  }
 }
 
 }  // namespace
