@@ -102,37 +102,60 @@ void BM_NDRangeLaunch(benchmark::State& state) {
 // where the per-group setup GroupRunner::run_groups amortizes dominates.
 BENCHMARK(BM_NDRangeLaunch)->Arg(64)->Arg(4096)->Arg(262144)->Arg(1 << 20);
 
+/// An n x n x n product bound to one of the Matrixmul kernels (args 0..5).
+struct MatmulSetup {
+  MatmulSetup(const char* kernel, std::size_t n)
+      : a(apps::random_floats(n * n, 3, -1.0f, 1.0f)),
+        b(apps::random_floats(n * n, 4, -1.0f, 1.0f)),
+        ba(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr, n * n * 4,
+           a.data()),
+        bb(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr, n * n * 4,
+           b.data()),
+        bc(ocl::MemFlags::ReadWrite, n * n * 4),
+        k(ctx.create_kernel(ocl::Program::builtin(), kernel)) {
+    k.set_arg(0, ba);
+    k.set_arg(1, bb);
+    k.set_arg(2, bc);
+    for (std::size_t slot : {3u, 4u, 5u}) k.set_arg(slot, static_cast<unsigned>(n));
+  }
+  void run(benchmark::State& state, std::size_t n, ocl::NDRange local) {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          q.enqueue_ndrange(k, ocl::NDRange(n, n), local).seconds);
+      benchmark::DoNotOptimize(bc.as<float>());
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n * n * n));
+  }
+
+  ocl::CpuDevice device{ocl::CpuDeviceConfig{.threads = 2}};
+  ocl::Context ctx{device};
+  ocl::CommandQueue q{ctx};
+  apps::FloatVec a, b;
+  ocl::Buffer ba, bb, bc;
+  ocl::Kernel k;
+};
+
 void BM_MatrixmulTiled(benchmark::State& state) {
   // Workgroup-form kernel at tile T = arg: T=4 runs the scalar (W=1) row
   // body on AVX builds, T=8 and T=16 the vfloat<kNativeFloatWidth> body.
-  ocl::CpuDevice device(ocl::CpuDeviceConfig{.threads = 2});
-  ocl::Context ctx(device);
-  ocl::CommandQueue q(ctx);
   constexpr std::size_t n = 128;
   const auto t = static_cast<std::size_t>(state.range(0));
-  apps::FloatVec a = apps::random_floats(n * n, 3, -1.0f, 1.0f);
-  apps::FloatVec b = apps::random_floats(n * n, 4, -1.0f, 1.0f);
-  ocl::Buffer ba(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr,
-                 n * n * 4, a.data());
-  ocl::Buffer bb(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr,
-                 n * n * 4, b.data());
-  ocl::Buffer bc(ocl::MemFlags::ReadWrite, n * n * 4);
-  ocl::Kernel k = ctx.create_kernel(ocl::Program::builtin(), "matrixmul");
-  k.set_arg(0, ba);
-  k.set_arg(1, bb);
-  k.set_arg(2, bc);
-  for (std::size_t slot : {3u, 4u, 5u}) k.set_arg(slot, static_cast<unsigned>(n));
-  for (std::size_t slot : {6u, 7u, 8u}) k.set_arg_local(slot, t * t * 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        q.enqueue_ndrange(k, ocl::NDRange(n, n), ocl::NDRange(t, t)).seconds);
-    benchmark::DoNotOptimize(bc.as<float>());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n * n * n));
+  MatmulSetup m("matrixmul", n);
+  for (std::size_t slot : {6u, 7u, 8u}) m.k.set_arg_local(slot, t * t * 4);
+  m.run(state, n, ocl::NDRange(t, t));
 }
 BENCHMARK(BM_MatrixmulTiled)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_MatrixmulNaive(benchmark::State& state) {
+  // The Simd executor at mclbench suite_default's size and NULL-local
+  // resolution (8 x 8): one body call per group covers its 8 rows.
+  constexpr std::size_t n = 256;
+  MatmulSetup m("matrixmul_naive", n);
+  m.run(state, n, ocl::NDRange(8, 8));
+}
+BENCHMARK(BM_MatrixmulNaive);
 
 // --- fiber switches --------------------------------------------------------------
 

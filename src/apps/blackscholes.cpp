@@ -52,13 +52,12 @@ void bs_scalar(const KernelArgs& a, const WorkItemCtx& c) {
            a.scalar<float>(5), a.scalar<float>(6), i);
 }
 void bs_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  const std::size_t row = c.global_id(1) * c.global_size(0);
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
+  c.for_each_lane_group([&](std::size_t x, std::size_t y) {
     bs_at<kW>(a.buffer<const float>(0), a.buffer<const float>(1),
               a.buffer<const float>(2), a.buffer<float>(3), a.buffer<float>(4),
               a.scalar<float>(5), a.scalar<float>(6),
-              row + c.global_base() + g * kW);
-  }
+              y * c.global_size(0) + x);
+  });
 }
 gpusim::KernelCost bs_cost(const KernelArgs&, const NDRange&, const NDRange&) {
   // log + exp + 2x CND polynomial + arithmetic: ~70 FP instructions, two

@@ -56,9 +56,7 @@ void ilp_scalar(const KernelArgs& a, const WorkItemCtx& c) {
 }
 template <int K>
 void ilp_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    ilp_at<kW, K>(a, c.global_base() + g * kW);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t) { ilp_at<kW, K>(a, x); });
 }
 template <int K>
 gpusim::KernelCost ilp_cost(const KernelArgs& a, const NDRange&,

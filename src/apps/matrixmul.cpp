@@ -29,32 +29,53 @@ using ocl::WorkItemCtx;
 
 constexpr int kW = simd::kNativeFloatWidth;
 
+/// acc[r] = fmadd(a[r * lda + i], b[i * ldb], acc[r]) for i in [0, len), in
+/// order: the a element broadcasts across lanes, the b row is unit stride.
+/// The R rows' chains are independent and share each b load, so R of them
+/// keep the FMA units busy where one chain waits out the FMA latency. Each
+/// row's own summation order is that of one row at a time, so the result
+/// is bitwise the same for every R.
+template <int W, int R>
+void fmadd_rows(simd::vfloat<W> (&acc)[R], const float* a, std::size_t lda,
+                const float* b, std::size_t ldb, std::size_t len) {
+  using V = simd::vfloat<W>;
+  for (std::size_t i = 0; i < len; ++i) {
+    const V bv = V::load(b + i * ldb);
+    for (int r = 0; r < R; ++r) {
+      acc[r] = simd::fmadd(V{a[r * lda + i]}, bv, acc[r]);
+    }
+  }
+}
+
 // --- naive ---------------------------------------------------------------
 
-template <int W>
-void naive_at(const KernelArgs& args, std::size_t col, std::size_t row) {
-  using V = simd::vfloat<W>;
+/// Items (col .. col + W - 1, row .. row + R - 1).
+template <int W, int R>
+void naive_rows(const KernelArgs& args, std::size_t col, std::size_t row) {
   const float* a = args.buffer<const float>(0);
   const float* b = args.buffer<const float>(1);
   float* c = args.buffer<float>(2);
   const auto n = args.scalar<unsigned>(4);
   const auto k = args.scalar<unsigned>(5);
 
-  V acc{0.0f};
-  const float* arow = a + row * k;
-  for (unsigned i = 0; i < k; ++i) {
-    // A element broadcasts across lanes; B row is unit-stride across lanes.
-    acc = simd::fmadd(V{arow[i]}, V::load(b + i * n + col), acc);
-  }
-  acc.store(c + row * n + col);
+  simd::vfloat<W> acc[R];  // zero
+  fmadd_rows<W, R>(acc, a + row * k, k, b + col, n, k);
+  for (int r = 0; r < R; ++r) acc[r].store(c + (row + r) * n + col);
 }
 
 void naive_scalar(const KernelArgs& a, const WorkItemCtx& c) {
-  naive_at<1>(a, c.global_id(0), c.global_id(1));
+  naive_rows<1, 1>(a, c.global_id(0), c.global_id(1));
 }
 void naive_simd(const KernelArgs& a, const SimdItemCtx& c) {
+  constexpr std::size_t kRows = 8;
+  const std::size_t row0 = c.global_id(1);
   for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    naive_at<kW>(a, c.global_base() + g * kW, c.global_id(1));
+    const std::size_t col = c.global_base() + g * kW;
+    std::size_t r = 0;
+    for (; r + kRows <= c.rows(); r += kRows) {
+      naive_rows<kW, kRows>(a, col, row0 + r);
+    }
+    for (; r < c.rows(); ++r) naive_rows<kW, 1>(a, col, row0 + r);
   }
 }
 gpusim::KernelCost naive_cost(const KernelArgs& a, const NDRange&,
@@ -67,6 +88,18 @@ gpusim::KernelCost naive_cost(const KernelArgs& a, const NDRange&,
 }
 
 // --- tiled, workgroup (phase) form ----------------------------------------
+
+/// Accumulate phase for local rows ly .. ly + R - 1 of the lane-group
+/// column at local x = lx.
+template <int W, int R>
+void tiled_accumulate(const float* as, const float* bs, float* cacc,
+                      std::size_t t, std::size_t ly, std::size_t lx) {
+  using V = simd::vfloat<W>;
+  V sum[R];
+  for (int r = 0; r < R; ++r) sum[r] = V::load(cacc + (ly + r) * t + lx);
+  fmadd_rows<W, R>(sum, as + ly * t, t, bs + lx, t, t);
+  for (int r = 0; r < R; ++r) sum[r].store(cacc + (ly + r) * t + lx);
+}
 
 // Each phase walks the square T x T tile row by row, W consecutive items of
 // a local row per vfloat<W> (T % W == 0). Lane L of the group at local x
@@ -102,16 +135,14 @@ void tiled_rows(const KernelArgs& args, const WorkGroupCtx& wg) {
         V::load(brow + lx).store(bs + ly * t + lx);
       }
     }
-    // Accumulate phase: the as element broadcasts, the bs row is unit
-    // stride across lanes.
-    for (std::size_t ly = 0; ly < t; ++ly) {
-      for (std::size_t lx = 0; lx < t; lx += W) {
-        V sum = V::load(cacc + ly * t + lx);
-        for (std::size_t i = 0; i < t; ++i) {
-          sum = simd::fmadd(V{as[ly * t + i]}, V::load(bs + i * t + lx), sum);
-        }
-        sum.store(cacc + ly * t + lx);
+    // Accumulate phase, kRows local rows of a column at a time.
+    constexpr std::size_t kRows = 4;
+    for (std::size_t lx = 0; lx < t; lx += W) {
+      std::size_t ly = 0;
+      for (; ly + kRows <= t; ly += kRows) {
+        tiled_accumulate<W, kRows>(as, bs, cacc, t, ly, lx);
       }
+      for (; ly < t; ++ly) tiled_accumulate<W, 1>(as, bs, cacc, t, ly, lx);
     }
   }
   for (std::size_t ly = 0; ly < t; ++ly) {

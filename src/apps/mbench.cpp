@@ -155,9 +155,7 @@ void kernel_scalar(const KernelArgs& args, const WorkItemCtx& c) {
 template <void (*At)(const MBenchData&, std::size_t)>
 void kernel_simd(const KernelArgs& args, const SimdItemCtx& c) {
   const MBenchData d = data_from_args(args);
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    At(d, c.global_base() + g * kW);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t) { At(d, x); });
 }
 
 gpusim::KernelCost mbench_cost(const KernelArgs&, const NDRange&,

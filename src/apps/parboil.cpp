@@ -54,12 +54,11 @@ void cenergy_scalar(const KernelArgs& a, const WorkItemCtx& c) {
 void cenergy_simd(const KernelArgs& a, const SimdItemCtx& c) {
   const auto per = a.scalar<unsigned>(5);
   const std::size_t gx = c.global_size(0) * per;
-  const std::size_t total =
-      per * static_cast<std::size_t>(kW) * c.lane_groups();
-  const std::size_t base = c.global_base() * per;
-  for (std::size_t off = 0; off < total; off += kW) {
-    cenergy_item<kW>(a, base + off, c.global_id(1), gx);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t y) {
+    for (std::size_t off = 0; off < per * kW; off += kW) {
+      cenergy_item<kW>(a, x * per + off, y, gx);
+    }
+  });
 }
 gpusim::KernelCost cenergy_cost(const KernelArgs& a, const NDRange&,
                                 const NDRange&) {
@@ -74,13 +73,13 @@ gpusim::KernelCost cenergy_cost(const KernelArgs& a, const NDRange&,
 }
 
 // Coalescing adapter for the 1D elementwise kernels: workitem i covers
-// elements [i*per, (i+1)*per); the vector form walks the combined lane-group
-// range at unit stride, exactly like the simple-app coalesced kernels.
+// elements [i*per, (i+1)*per); the vector form walks each lane group's
+// W*per elements at unit stride, exactly like the simple-app coalesced
+// kernels.
 template <int W, void (*At)(const KernelArgs&, std::size_t)>
-void coalesced_1d(const KernelArgs& args, std::size_t item_base, unsigned per,
-                  std::size_t lane_groups = 1) {
+void coalesced_1d(const KernelArgs& args, std::size_t item_base, unsigned per) {
   const std::size_t base = item_base * per;
-  const std::size_t total = static_cast<std::size_t>(per) * W * lane_groups;
+  const std::size_t total = static_cast<std::size_t>(per) * W;
   for (std::size_t off = 0; off < total; off += W) At(args, base + off);
 }
 
@@ -100,8 +99,10 @@ void phimag_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   coalesced_1d<1, &phimag_at<1>>(a, c.global_id(0), a.scalar<unsigned>(3));
 }
 void phimag_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  coalesced_1d<kW, &phimag_at<kW>>(a, c.global_base(), a.scalar<unsigned>(3),
-                                   c.lane_groups());
+  const auto per = a.scalar<unsigned>(3);
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    coalesced_1d<kW, &phimag_at<kW>>(a, x, per);
+  });
 }
 gpusim::KernelCost phimag_cost(const KernelArgs& a, const NDRange&,
                                const NDRange&) {
@@ -142,8 +143,10 @@ void computeq_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   coalesced_1d<1, &computeq_at<1>>(a, c.global_id(0), a.scalar<unsigned>(10));
 }
 void computeq_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  coalesced_1d<kW, &computeq_at<kW>>(a, c.global_base(),
-                                     a.scalar<unsigned>(10), c.lane_groups());
+  const auto per = a.scalar<unsigned>(10);
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    coalesced_1d<kW, &computeq_at<kW>>(a, x, per);
+  });
 }
 gpusim::KernelCost computeq_cost(const KernelArgs& a, const NDRange&,
                                  const NDRange&) {
@@ -175,8 +178,10 @@ void rhophi_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   coalesced_1d<1, &rhophi_at<1>>(a, c.global_id(0), a.scalar<unsigned>(6));
 }
 void rhophi_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  coalesced_1d<kW, &rhophi_at<kW>>(a, c.global_base(), a.scalar<unsigned>(6),
-                                   c.lane_groups());
+  const auto per = a.scalar<unsigned>(6);
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    coalesced_1d<kW, &rhophi_at<kW>>(a, x, per);
+  });
 }
 gpusim::KernelCost rhophi_cost(const KernelArgs& a, const NDRange&,
                                const NDRange&) {
@@ -218,8 +223,10 @@ void fh_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   coalesced_1d<1, &fh_at<1>>(a, c.global_id(0), a.scalar<unsigned>(11));
 }
 void fh_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  coalesced_1d<kW, &fh_at<kW>>(a, c.global_base(), a.scalar<unsigned>(11),
-                               c.lane_groups());
+  const auto per = a.scalar<unsigned>(11);
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    coalesced_1d<kW, &fh_at<kW>>(a, x, per);
+  });
 }
 gpusim::KernelCost fh_cost(const KernelArgs& a, const NDRange&, const NDRange&) {
   const auto num_k = static_cast<double>(a.scalar<unsigned>(10));

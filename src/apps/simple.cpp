@@ -41,9 +41,7 @@ void square_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   square_at<1>(a, c.global_id(0));
 }
 void square_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    square_at<kW>(a, c.global_base() + g * kW);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t) { square_at<kW>(a, x); });
 }
 gpusim::KernelCost square_cost(const KernelArgs&, const NDRange&,
                                const NDRange&) {
@@ -73,9 +71,9 @@ void square_coalesced_scalar(const KernelArgs& a, const WorkItemCtx& c) {
 }
 void square_coalesced_simd(const KernelArgs& a, const SimdItemCtx& c) {
   const auto per_item = a.scalar<unsigned>(2);
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    square_chunk<kW>(a, (c.global_base() + g * kW) * per_item, per_item);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    square_chunk<kW>(a, x * per_item, per_item);
+  });
 }
 gpusim::KernelCost square_coalesced_cost(const KernelArgs& a, const NDRange&,
                                          const NDRange&) {
@@ -101,9 +99,7 @@ void vadd_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   vadd_at<1>(a, c.global_id(0));
 }
 void vadd_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    vadd_at<kW>(a, c.global_base() + g * kW);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t) { vadd_at<kW>(a, x); });
 }
 gpusim::KernelCost vadd_cost(const KernelArgs&, const NDRange&, const NDRange&) {
   return {.fp_insts = 1, .mem_insts = 3, .other_insts = 1};
@@ -129,9 +125,9 @@ void vadd_coalesced_scalar(const KernelArgs& a, const WorkItemCtx& c) {
 }
 void vadd_coalesced_simd(const KernelArgs& a, const SimdItemCtx& c) {
   const auto per_item = a.scalar<unsigned>(3);
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    vadd_chunk<kW>(a, (c.global_base() + g * kW) * per_item, per_item);
-  }
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    vadd_chunk<kW>(a, x * per_item, per_item);
+  });
 }
 gpusim::KernelCost vadd_coalesced_cost(const KernelArgs& a, const NDRange&,
                                        const NDRange&) {

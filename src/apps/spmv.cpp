@@ -81,9 +81,9 @@ void spmv_scalar(const KernelArgs& a, const WorkItemCtx& c) {
 /// the inner product runs per lane (the gather-and-ragged-loop shape a real
 /// SPMD vectorizer emits for CSR with divergent trip counts).
 void spmv_simd(const KernelArgs& a, const SimdItemCtx& c) {
-  const std::size_t base = c.global_base();
-  const std::size_t total = static_cast<std::size_t>(kW) * c.lane_groups();
-  for (std::size_t l = 0; l < total; ++l) spmv_row(a, base + l);
+  c.for_each_lane_group([&](std::size_t x, std::size_t) {
+    for (std::size_t l = 0; l < kW; ++l) spmv_row(a, x + l);
+  });
 }
 
 gpusim::KernelCost spmv_cost(const KernelArgs& a, const NDRange& global,

@@ -11,6 +11,7 @@
 #include "core/rng.hpp"
 #include "ocl/queue.hpp"
 #include "san/static_analysis.hpp"
+#include "simd/vec.hpp"
 #include "veclegal/analysis.hpp"
 
 namespace mcl::check {
@@ -115,9 +116,12 @@ Memory download(ocl::CommandQueue& q, const Case& c,
 }
 
 /// Blocking in-order run on `device`: plan-controlled transfers, one
-/// NDRange, full readback (inputs included, to catch stray writes).
+/// NDRange, full readback (inputs included, to catch stray writes). A null
+/// `local` launches the case's own NDRange. A 2-D `local` (x, rows) folds the
+/// case's items into a (global / rows, rows) plane, which the interpreter
+/// flattens back row-major.
 Memory run_blocking(ocl::Device& device, const Case& c, const Memory& init,
-                    bool with_simd, std::size_t local_override,
+                    bool with_simd, const ocl::NDRange& local,
                     const Plan& plan) {
   ocl::Context ctx(device);
   std::vector<ocl::Buffer> buffers = make_buffers(ctx, c);
@@ -129,9 +133,13 @@ Memory run_blocking(ocl::Device& device, const Case& c, const Memory& init,
   std::vector<ocl::Buffer*> ptrs;
   for (ocl::Buffer& b : buffers) ptrs.push_back(&b);
   bind_args(kernel, c, ptrs);
-  const std::size_t local = local_override != 0 ? local_override : c.local;
-  (void)q.enqueue_ndrange(kernel, ocl::NDRange(c.global),
-                          ocl::NDRange(local));
+  const ocl::NDRange launch_local = local.is_null() ? ocl::NDRange(c.local)
+                                                   : local;
+  const ocl::NDRange global =
+      launch_local.dims == 2
+          ? ocl::NDRange(c.global / launch_local[1], launch_local[1])
+          : ocl::NDRange(c.global);
+  (void)q.enqueue_ndrange(kernel, global, launch_local);
   return download(q, c, buffers, plan.map_outputs);
 }
 
@@ -193,6 +201,20 @@ Memory run_split_async(ocl::Device& device, const Case& c, const Memory& init,
   q1.finish();
   q2.finish();
   return out;
+}
+
+/// Local size of a one-group plane of 2..8 rows holding the case's items,
+/// at least one SIMD lane group wide: one Simd call then covers several
+/// rows, each followed by its remainder items when W does not divide the
+/// width. nullopt when the global size has no such shape.
+std::optional<ocl::NDRange> simd_plane_local(const Case& c) {
+  constexpr std::size_t kW = static_cast<std::size_t>(simd::kNativeFloatWidth);
+  for (std::size_t rows = 2; rows <= 8; ++rows) {
+    if (c.global % rows == 0 && c.global / rows >= kW) {
+      return ocl::NDRange(c.global / rows, rows);
+    }
+  }
+  return std::nullopt;
 }
 
 /// Compares `got` against `expected`, honoring the F32 ULP tolerance.
@@ -283,7 +305,7 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
   const bool local_free = !c.has_barrier() && !c.has_local();
 
   if (auto m = run_backend(c, "pooled", expected, opt.ulp_tol, [&] {
-        return run_blocking(s.pooled, c, init, false, 0, c.plan);
+        return run_blocking(s.pooled, c, init, false, {}, c.plan);
       })) {
     return m;
   }
@@ -291,21 +313,28 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
   if (local_free &&
       veclegal::analyze(ir.body, veclegal::Model::Spmd).vectorizable) {
     if (auto m = run_backend(c, "simd", expected, opt.ulp_tol, [&] {
-          return run_blocking(s.pooled, c, init, true, 0, c.plan);
+          return run_blocking(s.pooled, c, init, true, {}, c.plan);
         })) {
       return m;
+    }
+    if (const auto plane = simd_plane_local(c)) {
+      if (auto m = run_backend(c, "simd-plane", expected, opt.ulp_tol, [&] {
+            return run_blocking(s.pooled, c, init, true, *plane, c.plan);
+          })) {
+        return m;
+      }
     }
   }
 
   if (auto m = run_backend(c, "checked", expected, opt.ulp_tol, [&] {
-        return run_blocking(s.checked, c, init, false, 0, c.plan);
+        return run_blocking(s.checked, c, init, false, {}, c.plan);
       })) {
     return m;
   }
 
   if (opt.run_gpusim) {
     if (auto m = run_backend(c, "gpusim", expected, opt.ulp_tol, [&] {
-          return run_blocking(s.gpusim, c, init, false, 0, c.plan);
+          return run_blocking(s.gpusim, c, init, false, {}, c.plan);
         })) {
       return m;
     }
@@ -319,7 +348,7 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
       std::swap(s.perm.perm[i - 1], s.perm.perm[rng.next_below(i)]);
     }
     auto m = run_backend(c, "dispatch-order", expected, opt.ulp_tol, [&] {
-      return run_blocking(s.serial, c, init, false, 0, c.plan);
+      return run_blocking(s.serial, c, init, false, {}, c.plan);
     });
     s.perm.perm.clear();
     if (m) return m;
@@ -334,7 +363,8 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
     }
     const std::size_t relocal = divisors[rng.next_below(divisors.size())];
     if (auto m = run_backend(c, "rechunk", expected, opt.ulp_tol, [&] {
-          return run_blocking(s.pooled, c, init, false, relocal, c.plan);
+          return run_blocking(s.pooled, c, init, false, ocl::NDRange(relocal),
+                              c.plan);
         })) {
       return m;
     }
@@ -349,7 +379,7 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
 
   const Plan flipped{!c.plan.map_inputs, !c.plan.map_outputs};
   if (auto m = run_backend(c, "plan-flip", expected, opt.ulp_tol, [&] {
-        return run_blocking(s.pooled, c, init, false, 0, flipped);
+        return run_blocking(s.pooled, c, init, false, {}, flipped);
       })) {
     return m;
   }

@@ -6,6 +6,8 @@
 //   pooled          CpuDevice, Auto executor (Loop, or Fiber for barriers)
 //   simd            Simd executor via the lane-group form (barrier-free,
 //                   local-free cases the veclegal SPMD model approves)
+//   simd-plane      the same, with the items folded into a one-group 2-D
+//                   plane of 2..8 rows, so one Simd call covers several rows
 //   checked         mclsan Checked executor (serial, instrumented; a
 //                   sanitizer finding on a validated case is a failure)
 //   gpusim          SimGpuDevice functional execution

@@ -33,12 +33,18 @@ void fill_mem_table(const Case& c, const ocl::KernelArgs& args,
   }
 }
 
+/// A case is a 1-D program over `global` items; a 2-D launch of the same
+/// total covers them row-major, item (x, y) being item y * global_size(0) + x.
+long long flat_id(std::size_t x, std::size_t y, std::size_t global_size0) {
+  return static_cast<long long>(y * global_size0 + x);
+}
+
 void interp_scalar(const ocl::KernelArgs& args, const ocl::WorkItemCtx& ctx) {
   const Case* c = args.scalar<const Case*>(0);
   std::uint32_t* mem[kMaxArrays] = {};
   fill_mem_table(*c, args, &ctx, mem);
   std::uint32_t temps[kMaxTemps] = {};
-  run_item(*c, static_cast<long long>(ctx.global_id(0)),
+  run_item(*c, flat_id(ctx.global_id(0), ctx.global_id(1), ctx.global_size(0)),
            static_cast<long long>(ctx.local_id(0)), mem, temps, ctx);
 }
 
@@ -52,17 +58,16 @@ void interp_simd(const ocl::KernelArgs& args, const ocl::SimdItemCtx& ctx) {
     mem[i] = args.buffer<std::uint32_t>(i + 1);
   }
   const std::size_t width = static_cast<std::size_t>(ctx.width());
-  for (std::size_t g = 0; g < ctx.lane_groups(); ++g) {
+  ctx.for_each_lane_group([&](std::size_t x, std::size_t y) {
     for (std::size_t lane = 0; lane < width; ++lane) {
-      const long long gid =
-          static_cast<long long>(ctx.global_base() + g * width + lane);
+      const long long gid = flat_id(x + lane, y, ctx.global_size(0));
       if (gid >= c->work_items) continue;
       std::uint32_t temps[kMaxTemps] = {};
       for (const Stmt& s : c->stmts) {
         eval_stmt(*c, s, gid, /*lid=*/0, mem, temps);
       }
     }
-  }
+  });
 }
 
 }  // namespace

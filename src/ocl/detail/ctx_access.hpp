@@ -55,6 +55,7 @@ struct CtxAccess {
     }
     c.width_ = width;
   }
+  /// Positions the view at the plane whose first item is (base, gy, gz).
   static void set_simd_pos(SimdItemCtx& c, std::size_t base,
                            std::size_t lane_groups, std::size_t gy,
                            std::size_t gz) noexcept {

@@ -178,15 +178,14 @@ void GroupRunner::run_simd(GroupId g, std::size_t count,
     const std::size_t base1 = off[1] + g[1] * ly;
     const std::size_t base2 = off[2] + g[2] * lz;
     for (std::size_t z = 0; z < lz; ++z) {
+      if (lane_groups > 0) {
+        // One call covers every full lane group of the plane's rows — the
+        // batching a compiled workgroup loop gets, so per-item dispatch cost
+        // stays off the vectorized path and the body can interleave rows.
+        CtxAccess::set_simd_pos(vctx, base0, lane_groups, base1, base2 + z);
+        def_.simd(args_, vctx);
+      }
       for (std::size_t y = 0; y < ly; ++y) {
-        if (lane_groups > 0) {
-          // One call covers every full lane group of the row — the batching
-          // a compiled workgroup loop gets, so per-item dispatch cost stays
-          // off the vectorized path.
-          CtxAccess::set_simd_pos(vctx, base0, lane_groups, base1 + y,
-                                  base2 + z);
-          def_.simd(args_, vctx);
-        }
         for (std::size_t x = vec_end; x < lx; ++x) {
           CtxAccess::set_item(ctx, x, y, z);
           def_.scalar(args_, ctx);

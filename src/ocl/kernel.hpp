@@ -4,8 +4,10 @@
 // name, the artifacts a CPU OpenCL compiler would emit:
 //   - scalar:    void(const KernelArgs&, WorkItemCtx&)       [required]
 //   - simd:      void(const KernelArgs&, SimdItemCtx&)       [optional]
-//     The implicit-vectorization module's output: processes
-//     simd::kNativeFloatWidth consecutive dim-0 workitems per call.
+//     The implicit-vectorization module's output: one call covers the full
+//     lane groups (simd::kNativeFloatWidth consecutive dim-0 workitems) of
+//     every local row of a group plane, so a body may interleave the
+//     independent work of several rows.
 //   - workgroup: void(const KernelArgs&, WorkGroupCtx&)      [optional]
 //     Workgroup-granularity form for kernels that use local memory with
 //     barriers structured as phases (the loop-fission shape CPU OpenCL
@@ -199,19 +201,22 @@ class WorkItemCtx {
   std::function<void()>* barrier_fn_ = nullptr;
 };
 
-/// SIMD lane-group view: lane L of group g corresponds to workitem global
-/// dim-0 id `global_base() + g*width() + L`. The executor batches all full
-/// lane groups of one row into a single call (lane_groups() of them) — the
-/// shape a compiled workgroup loop has; kernels must iterate:
-///
-///   for (std::size_t g = 0; g < ctx.lane_groups(); ++g)
-///     process lanes at ctx.global_base() + g * W;
-///
-/// Remainder items (row length % W) fall back to the scalar kernel.
+/// SIMD view of one group plane (fixed z): rows() local rows of
+/// lane_groups() full lane groups each. Lane L of lane group g in row r is
+/// workitem (global_base() + g*width() + L, global_id(1) + r, global_id(2)).
+/// The executor makes one call per (group, z) — the shape a compiled
+/// workgroup loop has — so a body can keep several rows' independent work in
+/// flight (MatrixmulNaive interleaves rows' dot products). Straight-line
+/// bodies walk the plane with for_each_lane_group(); 1-D launches have
+/// rows() == 1. Remainder items (row length % W) fall back to the scalar
+/// kernel, row by row, after the call.
 class SimdItemCtx {
  public:
   [[nodiscard]] std::size_t global_base() const noexcept { return global_base_; }
   [[nodiscard]] std::size_t lane_groups() const noexcept { return lane_groups_; }
+  /// Local rows in the call: the group's local size in dim 1.
+  [[nodiscard]] std::size_t rows() const noexcept { return local_size_[1]; }
+  /// Dim 1 is the first row's id.
   [[nodiscard]] std::size_t global_id(std::size_t dim) const noexcept {
     return dim == 0 ? global_base_ : higher_[dim - 1];
   }
@@ -222,6 +227,20 @@ class SimdItemCtx {
     return local_size_[dim];
   }
   [[nodiscard]] int width() const noexcept { return width_; }
+
+  /// Calls fn(x, y) for every lane group of the call, row by row: x is the
+  /// global dim-0 id of its lane 0, y its global dim-1 id.
+  template <typename Fn>
+  void for_each_lane_group(Fn&& fn) const {
+    // Copied out first: the body's vector stores may alias these fields,
+    // which would otherwise reload them on every iteration.
+    const std::size_t base = global_base_, groups = lane_groups_;
+    const std::size_t rows = local_size_[1], y0 = higher_[0];
+    const std::size_t w = static_cast<std::size_t>(width_);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t g = 0; g < groups; ++g) fn(base + g * w, y0 + r);
+    }
+  }
 
  private:
   friend struct CtxAccess;

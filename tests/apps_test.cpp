@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "apps/blackscholes.hpp"
 #include "testseed.hpp"
@@ -261,6 +263,98 @@ TEST(MatrixMulTiled, CheckedExecutorFindsNoLocalOverflow) {
         << "tile " << t;
     EXPECT_LT(max_rel_diff({bc.as<float>(), m * n}, expect, 1e-3), 5e-4)
         << "tile " << t;
+  }
+}
+
+// Both Matrixmul bodies interleave several rows' dot products (naive: 8 rows
+// per Simd call, tiled: 4 local rows per accumulate phase). Each item must
+// still be one fused multiply-add chain over k in order, so the kernels
+// must reproduce this loop exactly, not just within a tolerance.
+float fma_step(float a, float b, float acc) {
+#if defined(__FMA__)
+  return std::fmaf(a, b, acc);
+#else
+  return a * b + acc;  // the vector fmadd is a multiply then an add here
+#endif
+}
+
+/// Launches `kr` over (cols, rows) at `offset` into a sentinel-filled m x n
+/// C, then requires every item inside to equal the in-order chain exactly
+/// and every element outside to keep the sentinel.
+void expect_exact_matmul(CommandQueue& queue, Kernel& kr, Buffer& bc,
+                         const FloatVec& a, const FloatVec& b, std::size_t m,
+                         std::size_t n, std::size_t k, NDRange global,
+                         NDRange local, NDRange offset) {
+  constexpr float kSentinel = -7.0f;
+  float* c = bc.as<float>();
+  std::fill(c, c + m * n, kSentinel);
+  (void)queue.enqueue_ndrange(kr, global, local, offset);
+  const std::size_t x0 = offset.offset_component(0);
+  const std::size_t y0 = offset.offset_component(1);
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t col = 0; col < n; ++col) {
+      float want = kSentinel;
+      if (r >= y0 && r < y0 + global[1] && col >= x0 && col < x0 + global[0]) {
+        want = 0.0f;
+        for (std::size_t i = 0; i < k; ++i) {
+          want = fma_step(a[r * k + i], b[i * n + col], want);
+        }
+      }
+      ASSERT_EQ(c[r * n + col], want) << "local " << local[0] << "x"
+                                      << local[1] << " at (" << r << ", "
+                                      << col << ")";
+    }
+  }
+}
+
+// Locals with 8 rows run the R = 8 blocks, 3/5/6 rows only the R = 1 tail,
+// 16 rows two blocks. The local widths are multiples of the SIMD width, so
+// no item takes the scalar remainder.
+TEST(MatrixMulNaive, SimdBodyIsTheInOrderFmaChain) {
+  CpuDevice device(
+      CpuDeviceConfig{.threads = 2, .executor = ExecutorKind::Simd});
+  Context ctx(device);
+  CommandQueue queue(ctx);
+  const std::size_t m = 240, n = 48, k = 20;
+  const FloatVec a = random_floats(m * k, mcl::test::seed(16), -1.0f, 1.0f);
+  const FloatVec b = random_floats(k * n, mcl::test::seed(17), -1.0f, 1.0f);
+  Buffer ba = make_in(ctx, a), bb = make_in(ctx, b);
+  Buffer bc = make_out(ctx, m * n);
+  Kernel kr = ctx.create_kernel(Program::builtin(), kMatrixMulNaiveKernel);
+  kr.set_arg(0, ba);
+  kr.set_arg(1, bb);
+  kr.set_arg(2, bc);
+  kr.set_arg(3, static_cast<unsigned>(m));
+  kr.set_arg(4, static_cast<unsigned>(n));
+  kr.set_arg(5, static_cast<unsigned>(k));
+  for (const auto& [lx, ly] : {std::pair<std::size_t, std::size_t>{8, 8},
+                               {8, 3}, {8, 5}, {16, 6}, {16, 16}}) {
+    expect_exact_matmul(queue, kr, bc, a, b, m, n, k, NDRange(n, m),
+                        NDRange(lx, ly), NDRange{});
+  }
+  for (const auto& [lx, ly] :
+       {std::pair<std::size_t, std::size_t>{8, 8}, {16, 6}}) {
+    expect_exact_matmul(queue, kr, bc, a, b, m, n, k, NDRange(32, 192),
+                        NDRange(lx, ly), NDRange(16, 48));
+  }
+}
+
+TEST(MatrixMulTiled, AccumulateIsTheInOrderFmaChain) {
+  CpuDevice device(CpuDeviceConfig{.threads = 2});
+  Context ctx(device);
+  CommandQueue queue(ctx);
+  const std::size_t m = 64, n = 96, k = 128;
+  const FloatVec a = random_floats(m * k, mcl::test::seed(18), -1.0f, 1.0f);
+  const FloatVec b = random_floats(k * n, mcl::test::seed(19), -1.0f, 1.0f);
+  Buffer ba = make_in(ctx, a), bb = make_in(ctx, b);
+  Buffer bc = make_out(ctx, m * n);
+  for (std::size_t t : {8u, 16u, 32u}) {
+    Kernel kr = tiled_matmul(ctx, ba, bb, bc, m, n, k, t);
+    expect_exact_matmul(queue, kr, bc, a, b, m, n, k, NDRange(n, m),
+                        NDRange(t, t), NDRange{});
+    expect_exact_matmul(queue, kr, bc, a, b, m, n, k,
+                        NDRange(n - 2 * t, m - t), NDRange(t, t),
+                        NDRange(t, t / 2));
   }
 }
 

@@ -228,6 +228,20 @@ TEST(Differ, FiftySeedsAllBackendsAgree) {
   }
 }
 
+// A fixed case for the simd-plane backend: 33 items fold into a 3-row plane
+// of 11-item rows, so one Simd call covers three rows and each row ends in
+// scalar remainder items (W = 4 or 8). The guard leaves the last 3 inactive.
+TEST(Differ, SimdPlaneCoversRowsAndRemainders) {
+  Case c = tiny_case(Ty::F32);
+  c.global = 33;
+  c.local = 11;
+  c.work_items = 30;
+  for (Array& a : c.arrays) a.extent = 33;
+  ASSERT_FALSE(validate(c).has_value()) << *validate(c);
+  const auto m = run_case(c);
+  EXPECT_FALSE(m.has_value()) << m->to_string();
+}
+
 TEST(Differ, UlpDistanceIsMonotoneAcrossZero) {
   const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
   EXPECT_EQ(ulp_distance(bits(1.0f), bits(1.0f)), 0u);

@@ -6,6 +6,7 @@
 // groups are all covered.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <ostream>
@@ -74,17 +75,24 @@ void ids_scalar(const KernelArgs& a, const WorkItemCtx& c) {
   a.buffer<std::uint32_t>(0)[2 * slot + 1] = encode_group_local(grp, loc);
 }
 
+/// Simd body calls so far: the executor makes one per (group, z) plane.
+std::atomic<std::size_t> g_simd_calls{0};
+
 void ids_simd(const KernelArgs& a, const SimdItemCtx& c) {
+  g_simd_calls.fetch_add(1, std::memory_order_relaxed);
   const std::size_t gsize[3] = {c.global_size(0), c.global_size(1),
                                 c.global_size(2)};
   const std::size_t lsize[3] = {c.local_size(0), c.local_size(1),
                                 c.local_size(2)};
   const std::size_t width = static_cast<std::size_t>(c.width());
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      const std::size_t g0 = c.global_base() + g * width + lane;
-      store_item(a, g0, c.global_id(1), c.global_id(2), gsize, lsize,
-                 encode_global(g0, c.global_id(1), c.global_id(2)));
+  for (std::size_t r = 0; r < c.rows(); ++r) {
+    const std::size_t g1 = c.global_id(1) + r;
+    for (std::size_t g = 0; g < c.lane_groups(); ++g) {
+      for (std::size_t lane = 0; lane < width; ++lane) {
+        const std::size_t g0 = c.global_base() + g * width + lane;
+        store_item(a, g0, g1, c.global_id(2), gsize, lsize,
+                   encode_global(g0, g1, c.global_id(2)));
+      }
     }
   }
 }
@@ -182,12 +190,17 @@ struct RangeCase {
 };
 
 // local[0] = W + 3: a Simd group runs one lane group plus a scalar remainder
-// in every row (on a W = 1 build every item is a lane group).
+// in every row (on a W = 1 build every item is a lane group). In the plane
+// cases one Simd call covers 3 or 5 rows; "3d_plane" has no remainder.
 const RangeCase kCases[] = {
     {"1d", NDRange{6 * (kW + 3)}, NDRange{kW + 3}, NDRange{7}},
     {"2d", NDRange(3 * (kW + 3), 3 * 2), NDRange(kW + 3, 2), NDRange(5, 3)},
     {"3d", NDRange(2 * (kW + 3), 2 * 2, 2 * 3), NDRange(kW + 3, 2, 3),
      NDRange(4, 1, 2)},
+    {"2d_plane", NDRange(2 * (kW + 3), 2 * 3), NDRange(kW + 3, 3),
+     NDRange(1, 2)},
+    {"3d_plane", NDRange(2 * kW, 2 * 5, 2 * 2), NDRange(kW, 5, 2),
+     NDRange(3, 0, 1)},
 };
 
 struct ExecCase {
@@ -242,7 +255,16 @@ TEST_P(RunGroupsSplit, EverySplitMatchesPerGroupRuns) {
                                    ? ExecutorKind::Loop
                                    : exec.kind);
 
+  g_simd_calls = 0;
   const std::vector<std::byte> reference = check_all_splits(runner, out);
+  if (exec.kind == ExecutorKind::Simd) {
+    // One call per (group, z) plane: the per-group reference pass plus one
+    // pass per split, 2^(groups - 1) splits.
+    const std::size_t passes =
+        1 + (std::size_t{1} << (runner.total_groups() - 1));
+    EXPECT_EQ(g_simd_calls.load(),
+              passes * runner.total_groups() * rc.local[2]);
+  }
 
   // The per-group reference itself must hold every item's exact ids.
   std::vector<std::uint32_t> words(items * 2);

@@ -37,11 +37,10 @@ void dbl_scalar(const KernelArgs& a, const WorkItemCtx& c) {
 }
 void dbl_simd(const KernelArgs& a, const SimdItemCtx& c) {
   using V = simd::vfloatn;
-  for (std::size_t g = 0; g < c.lane_groups(); ++g) {
-    const std::size_t i = c.global_base() + g * static_cast<std::size_t>(V::width);
+  c.for_each_lane_group([&](std::size_t i, std::size_t) {
     (V{2.0f} * V::load(a.buffer<const float>(0) + i))
         .store(a.buffer<float>(1) + i);
-  }
+  });
 }
 const KernelRegistrar reg_dbl{
     {.name = "test_double", .scalar = &dbl_scalar, .simd = &dbl_simd}};

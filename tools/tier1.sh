@@ -1,15 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the checks every change must pass before merging.
 #
-#   1. plain Release build + full ctest suite (plus explicit `-L trace`,
-#      `-L prof`, `-L verify`, `-L serve`, `-L tune`, `-L obs` and
-#      `-L conform` passes for the mcltrace ring/exporter, mclprof
-#      registry/profiler, mclverify dataflow/soundness, mclserve
-#      admission/fairness, mcltune policy/cache, mclobs
-#      context/flight-recorder, and CL-shim conformance suites — the
-#      `conform` label runs the two unmodified external-style C hosts from
-#      examples/conformance/ plus the error matrix and shim integration
-#      tests),
+#   1. plain Release build + full ctest suite (it includes every labelled
+#      suite: trace, prof, verify, serve, tune, obs, and conform — the two
+#      unmodified external-style C hosts from examples/conformance/ plus
+#      the error matrix and shim integration tests; `ctest -L <label>`
+#      runs one of them alone),
 #      then the mclconform coverage report (conformance.json from the
 #      cl_surface table) schema- and coverage-checked by plot_results.py
 #      (an Implemented CL entry point with no covering test fails tier1),
@@ -45,13 +41,6 @@ echo "== tier1: plain build =="
 cmake -B build -S .
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure
-ctest --test-dir build --output-on-failure -L trace
-ctest --test-dir build --output-on-failure -L prof
-ctest --test-dir build --output-on-failure -L verify
-ctest --test-dir build --output-on-failure -L serve
-ctest --test-dir build --output-on-failure -L tune
-ctest --test-dir build --output-on-failure -L obs
-ctest --test-dir build --output-on-failure -L conform
 
 echo "== tier1: mclconform CL-surface coverage gate =="
 # The report is generated from the cl_surface table compiled into the shim,
