@@ -1,8 +1,9 @@
 // Ablation — workgroup distribution policy: the central shared counter
-// (default; what several CPU OpenCL runtimes shipped) vs TBB-style range
-// splitting with work stealing. Stealing trades one contended cache line
-// for per-worker ranges — the difference grows with workgroup count, i.e.
-// exactly in the many-small-workgroups regime the paper's Fig 1/3 study.
+// (what several CPU OpenCL runtimes shipped) vs TBB-style range splitting
+// with work stealing (the default). Stealing trades one contended cache
+// line for per-thread slices that stay the same across repeated launches —
+// the counter's cost grows with workgroup count, i.e. exactly in the
+// many-small-workgroups regime the paper's Fig 1/3 study.
 #include <cstdio>
 
 #include "apps_setup.hpp"

@@ -81,8 +81,7 @@ struct CpuDeviceConfig {
   std::size_t fiber_stack_bytes = 64 * 1024;
   /// Workgroup distribution policy (see threading::ScheduleStrategy and
   /// bench/ablation_scheduler).
-  threading::ScheduleStrategy scheduler =
-      threading::ScheduleStrategy::CentralCounter;
+  threading::ScheduleStrategy scheduler = threading::kDefaultSchedule;
   /// Deterministic dispatch-order hook (mclcheck's metamorphic transform):
   /// when set, launch() bypasses the pool and executes workgroups serially
   /// on the calling thread, running linear group order(k, total) at step k.

@@ -97,92 +97,77 @@ constexpr std::uint32_t range_end(std::uint64_t packed) {
 
 }  // namespace
 
-void ThreadPool::drain_batch_stealing(Batch& batch) {
-  const std::size_t nslots = batch.slots.size();
-  const std::size_t my_slot =
-      batch.participants.fetch_add(1, std::memory_order_relaxed) % nslots;
-  const std::size_t my_tally =
-      batch.tally_ids.fetch_add(1, std::memory_order_relaxed) %
-      batch.executed.size();
-  std::size_t executed = 0;
-
-  // Claim `chunk` indices from slot `s` (owner and thief fast-path share the
-  // same CAS, so no index is ever double-claimed).
-  const auto claim_front = [&](std::size_t s) -> std::pair<std::size_t, std::size_t> {
-    std::uint64_t cur = batch.slots[s].load(std::memory_order_acquire);
+ThreadPool::Range ThreadPool::claim(Batch& batch, std::size_t slot,
+                                    bool may_steal) {
+  if (batch.strategy == ScheduleStrategy::CentralCounter) {
+    const std::size_t begin =
+        batch.next.fetch_add(batch.chunk, std::memory_order_relaxed);
+    if (begin >= batch.count) return {};
+    return {begin, std::min(begin + batch.chunk, batch.count)};
+  }
+  // The owner's front claim and a thief's steal both CAS the slot word, so
+  // no index is ever claimed twice.
+  std::atomic<std::uint64_t>& own = batch.slots[slot];
+  for (;;) {
+    std::uint64_t cur = own.load(std::memory_order_acquire);
     for (;;) {
       const std::uint32_t n = range_next(cur);
       const std::uint32_t e = range_end(cur);
-      if (n >= e) return {0, 0};
-      const std::uint32_t take =
-          std::min<std::uint32_t>(static_cast<std::uint32_t>(batch.chunk), e - n);
-      if (batch.slots[s].compare_exchange_weak(cur, pack_range(n + take, e),
-                                               std::memory_order_acq_rel)) {
+      if (n >= e) break;
+      const auto take = static_cast<std::uint32_t>(
+          std::min<std::size_t>(batch.chunk, e - n));
+      if (own.compare_exchange_weak(cur, pack_range(n + take, e),
+                                    std::memory_order_acq_rel)) {
         return {n, n + take};
       }
     }
-  };
-  // Steal the upper half of slot `s`'s remaining range into my slot.
-  const auto steal_from = [&](std::size_t s) -> bool {
-    std::uint64_t cur = batch.slots[s].load(std::memory_order_acquire);
-    for (;;) {
-      const std::uint32_t n = range_next(cur);
-      const std::uint32_t e = range_end(cur);
-      if (e - n < 2 * batch.chunk) return false;  // not worth splitting
-      const std::uint32_t mid = n + (e - n) / 2;
-      if (batch.slots[s].compare_exchange_weak(cur, pack_range(n, mid),
-                                               std::memory_order_acq_rel)) {
-        batch.slots[my_slot].store(pack_range(mid, e),
-                                   std::memory_order_release);
-        MCL_TRACE_INSTANT("pool.steal", "victim,thief,taken", s, my_slot,
-                          e - mid);
-        return true;
-      }
-    }
-  };
-
-  for (;;) {
-    const auto [b, e] = claim_front(my_slot);
-    if (b != e) {
-      (*batch.fn)(b, e);
-      executed += e - b;
-      continue;
-    }
-    // Own slot empty: look for a victim.
-    bool stole = false;
-    for (std::size_t v = 1; v < nslots && !stole; ++v) {
-      stole = steal_from((my_slot + v) % nslots);
-    }
-    if (!stole) break;
-  }
-  if (executed > 0) {
-    batch.executed[my_tally].fetch_add(executed, std::memory_order_relaxed);
-    batch.done.fetch_add(executed, std::memory_order_acq_rel);
+    if (!may_steal || !steal_into(batch, slot)) return {};
   }
 }
 
-void ThreadPool::drain_batch(Batch& batch) {
+bool ThreadPool::steal_into(Batch& batch, std::size_t slot) {
+  const std::size_t nslots = batch.slots.size();
+  for (std::size_t v = 1; v < nslots; ++v) {
+    const std::size_t victim = (slot + v) % nslots;
+    std::uint64_t cur = batch.slots[victim].load(std::memory_order_acquire);
+    for (;;) {
+      const std::uint32_t n = range_next(cur);
+      const std::uint32_t e = range_end(cur);
+      if (n >= e) break;
+      // The upper half, or the last chunk of a remainder too small to
+      // split: taking it is what lets the batch finish while the victim's
+      // owner is asleep or busy elsewhere. Either way the owner keeps the
+      // front of its slice.
+      const std::size_t left = e - n;
+      const auto take = static_cast<std::uint32_t>(
+          left >= 2 * batch.chunk ? left - left / 2
+                                  : std::min(batch.chunk, left));
+      const std::uint32_t mid = e - take;
+      if (batch.slots[victim].compare_exchange_weak(
+              cur, pack_range(n, mid), std::memory_order_acq_rel)) {
+        // Our slot is empty, and thieves never write an empty slot, so a
+        // plain store cannot lose a concurrent claim.
+        batch.slots[slot].store(pack_range(mid, e), std::memory_order_release);
+        MCL_TRACE_INSTANT("pool.steal", "victim,thief,taken", victim, slot,
+                          take);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void ThreadPool::drain_batch(Batch& batch, std::size_t slot, Range first) {
   OccupancyScope occupancy;
   MCL_TRACE_SCOPE("pool.drain");
-  if (batch.strategy == ScheduleStrategy::WorkStealing) {
-    drain_batch_stealing(batch);
-    return;
-  }
   std::size_t executed = 0;
-  for (;;) {
-    const std::size_t begin =
-        batch.next.fetch_add(batch.chunk, std::memory_order_relaxed);
-    if (begin >= batch.count) break;
-    const std::size_t end = std::min(begin + batch.chunk, batch.count);
-    (*batch.fn)(begin, end);
-    batch.done.fetch_add(end - begin, std::memory_order_acq_rel);
-    executed += end - begin;
+  for (Range r = first; !r.empty(); r = claim(batch, slot, true)) {
+    (*batch.fn)(r.begin, r.end);
+    executed += r.end - r.begin;
   }
   if (executed > 0) {
-    const std::size_t tally =
-        batch.tally_ids.fetch_add(1, std::memory_order_relaxed) %
-        batch.executed.size();
-    batch.executed[tally].fetch_add(executed, std::memory_order_relaxed);
+    batch.executed[slot].fetch_add(executed, std::memory_order_relaxed);
+    batch.done.fetch_add(executed, std::memory_order_acq_rel);
   }
 }
 
@@ -215,6 +200,7 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
   auto batch = std::make_shared<Batch>();
   batch->count = count;
   batch->chunk = chunk;
+  batch->span_begin = span.begin;
   batch->fn = &fn;
   batch->strategy = strategy;
   batch->executed =
@@ -238,6 +224,10 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
     }
   }
 
+  // Claim the caller's first range before any worker can see the batch, so
+  // no thief takes the front of slot 0 from under a late caller.
+  const Range first = claim(*batch, 0, false);
+
   // Publish under the lock: a worker evaluates the wait predicate while
   // holding mutex_, so storing + notifying without it can land exactly
   // between the predicate check and the sleep — the worker misses the batch
@@ -249,7 +239,7 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
     }
   }
   cv_.notify_all();
-  drain_batch(*batch);  // the calling thread participates
+  drain_batch(*batch, 0, first);  // the calling thread participates
 
   std::size_t spins = 0;
   while (batch->done.load(std::memory_order_acquire) < count) {
@@ -316,7 +306,11 @@ void ThreadPool::worker_loop(std::size_t worker_index, bool pin) {
       }
     }
     if (batch) {
-      drain_batch(*batch);
+      // A worker starts from its own slot and steals only after that: a
+      // worker whose slice thieves already took arrived too late to keep
+      // anything warm, and what is left belongs to running participants.
+      const std::size_t slot = worker_index - batch->span_begin + 1;
+      drain_batch(*batch, slot, claim(*batch, slot, false));
       continue;
     }
     {

@@ -4,11 +4,15 @@
 //  - submit(): generic fire-and-forget tasks (used by the command queue).
 //  - parallel_ranges_on(): split [0, count) into chunks, run fn(begin, end)
 //    once per claimed chunk, and wait. This is the path NDRange launches
-//    take: one index = one workgroup, workers claim chunks of consecutive
-//    workgroups from a shared atomic counter or by work stealing (the range-
-//    per-task scheme CPU OpenCL runtimes use), and the device runs a whole
-//    chunk per call, so per-group setup is paid once per chunk while the
-//    per-claim scheduling cost stays real and measurable. parallel_run() and
+//    take: one index = one workgroup, and the device runs a whole chunk per
+//    call, so per-group setup is paid once per chunk while the per-claim
+//    scheduling cost stays real and measurable. By default each participant
+//    owns a fixed contiguous slice of the range and claims chunks from its
+//    front; an idle participant steals from another's slice (the
+//    range-per-task scheme CPU OpenCL runtimes use). Slices depend only on
+//    count and span, so repeated launches of one size give every thread the
+//    same groups, and their data stays in that thread's private caches
+//    (paper Fig 9; TBB's affinity_partitioner). parallel_run() and
 //    parallel_run_on() are per-index adapters over the same path.
 #pragma once
 
@@ -28,15 +32,23 @@ namespace mcl::threading {
 
 /// How parallel_run distributes indices over workers.
 enum class ScheduleStrategy {
-  /// One shared atomic counter; workers pop chunks from it. Simple, fair,
-  /// but every claim contends on one cache line (the default, and what
-  /// several CPU OpenCL runtimes shipped).
+  /// One shared atomic counter; workers pop chunks from it in arrival
+  /// order. Every claim contends on one cache line, and a repeated launch
+  /// hands each thread different indices than the last one did. Kept as a
+  /// tuner choice (reported by mcl_tuned_config::work_stealing).
   CentralCounter,
-  /// Per-worker contiguous ranges; an idle worker steals the upper half of
-  /// a victim's remaining range (TBB-style). Less contention, better
-  /// locality for index-correlated data.
+  /// Per-participant contiguous slices, the same on every launch of the
+  /// same count and span; an idle participant steals the upper half of a
+  /// victim's remaining range, or its last chunk when the remainder is too
+  /// small to split (TBB-style). The default.
   WorkStealing,
 };
+
+/// The distribution every launch uses unless a caller or the tuner picks
+/// another: the pool's default argument, CpuDeviceConfig::scheduler and
+/// tune::TunedConfig::scheduler.
+inline constexpr ScheduleStrategy kDefaultSchedule =
+    ScheduleStrategy::WorkStealing;
 
 /// Per-batch execution statistics (load balance across participants).
 struct RunStats {
@@ -84,29 +96,33 @@ class ThreadPool {
   /// Runs fn over a partition of [0, count) into ranges of at most `chunk`
   /// indices, on the workers of `span` plus the calling thread, returning
   /// when every index completed. One call covers one claim: a counter pop
-  /// (CentralCounter) or an owner/thief claim (WorkStealing). The calling
-  /// thread always participates and guarantees completion even if every
-  /// spanned worker is busy elsewhere. Concurrent calls on disjoint spans
-  /// proceed in parallel with disjoint worker sets — the sub-device sharding
-  /// substrate. Concurrent calls on overlapping spans are safe but contend: a
-  /// worker helps one batch at a time, and each caller finishes its own
-  /// batch regardless. Not reentrant: do not call it from inside fn.
-  /// WorkStealing supports counts < 2^32. Returns load-balance statistics
-  /// counted in indices, not calls.
+  /// (CentralCounter) or an owner/thief claim (WorkStealing). Under
+  /// WorkStealing the caller owns slot 0 and worker i slot
+  /// i - span.begin + 1; slot s starts at s * (count / slots) +
+  /// min(s, count % slots). Each participant's first call starts at its
+  /// own slot's start, and a participant whose slot thieves emptied before
+  /// it arrived runs nothing. The calling thread always participates and
+  /// guarantees completion even if every spanned worker is busy elsewhere.
+  /// Concurrent calls on disjoint spans proceed in parallel with disjoint
+  /// worker sets — the sub-device sharding substrate. Concurrent calls on
+  /// overlapping spans are safe but contend: a worker helps one batch at a
+  /// time, and each caller finishes its own batch regardless. Not
+  /// reentrant: do not call it from inside fn. WorkStealing supports counts
+  /// < 2^32. Returns load-balance statistics counted in indices, not calls.
   RunStats parallel_ranges_on(WorkerSpan span, std::size_t count,
                               const RangeFn& fn, std::size_t chunk = 1,
-                              ScheduleStrategy strategy = ScheduleStrategy::CentralCounter);
+                              ScheduleStrategy strategy = kDefaultSchedule);
 
   /// Per-index adapter: runs fn(i) for every i in [0, count) over the whole
   /// pool, with parallel_ranges_on's claiming and statistics.
   RunStats parallel_run(std::size_t count, const IndexFn& fn,
                         std::size_t chunk = 1,
-                        ScheduleStrategy strategy = ScheduleStrategy::CentralCounter);
+                        ScheduleStrategy strategy = kDefaultSchedule);
 
   /// parallel_run restricted to the workers of `span`.
   RunStats parallel_run_on(WorkerSpan span, std::size_t count,
                            const IndexFn& fn, std::size_t chunk = 1,
-                           ScheduleStrategy strategy = ScheduleStrategy::CentralCounter);
+                           ScheduleStrategy strategy = kDefaultSchedule);
 
   /// Index of the calling thread within THIS pool's workers, or -1 when the
   /// caller is not one of this pool's workers (other pools' workers included:
@@ -118,26 +134,41 @@ class ThreadPool {
   void wait_idle();
 
  private:
+  /// Half-open index range of one claim; empty when nothing was claimed.
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    [[nodiscard]] bool empty() const noexcept { return begin == end; }
+  };
+
   struct Batch {
-    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> next{0};  // CentralCounter's shared counter
     std::atomic<std::size_t> done{0};
     std::size_t count = 0;
     std::size_t chunk = 1;
+    std::size_t span_begin = 0;  // worker i owns slot i - span_begin + 1
     const RangeFn* fn = nullptr;
-    // WorkStealing state: per-slot packed ranges (next:32 | end:32) and a
-    // participant-id dispenser. Slots cover only the batch's span workers
-    // plus the caller, so steals stay inside the shard by construction.
-    ScheduleStrategy strategy = ScheduleStrategy::CentralCounter;
+    ScheduleStrategy strategy = kDefaultSchedule;
+    // WorkStealing state: per-slot packed ranges (next:32 | end:32). Slots
+    // cover only the batch's span workers plus the caller, so steals stay
+    // inside the shard by construction. Only a slot's owner advances its
+    // `next`; thieves only lower its `end`.
     std::vector<std::atomic<std::uint64_t>> slots;
-    std::atomic<std::size_t> participants{0};
-    // Per-participant executed-index tallies (sized span workers + 1).
+    // Indices executed per slot (span workers + caller), each written by
+    // its slot's owner before it adds to `done`.
     std::vector<std::atomic<std::size_t>> executed;
-    std::atomic<std::size_t> tally_ids{0};
   };
 
+  /// Claims the next range for the owner of `slot`: a counter pop, or the
+  /// front chunk of the slot's range, refilled by a steal when it is empty
+  /// and `may_steal` is set.
+  static Range claim(Batch& batch, std::size_t slot, bool may_steal);
+  /// Moves part of another slot's remaining range into the empty `slot`.
+  static bool steal_into(Batch& batch, std::size_t slot);
+  /// Runs `first` and every later claim of `slot`, then reports them.
+  static void drain_batch(Batch& batch, std::size_t slot, Range first);
+
   void worker_loop(std::size_t worker_index, bool pin);
-  static void drain_batch(Batch& batch);
-  static void drain_batch_stealing(Batch& batch);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> tasks_;

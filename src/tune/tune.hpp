@@ -66,8 +66,7 @@ struct TunedConfig {
   /// chunk = clamp(total_groups / (threads * chunk_divisor), 1, 64).
   std::size_t chunk_divisor = 16;
   /// Workgroup dispatch order (the paper's scheduling axis).
-  threading::ScheduleStrategy scheduler =
-      threading::ScheduleStrategy::CentralCounter;
+  threading::ScheduleStrategy scheduler = threading::kDefaultSchedule;
   /// Transfer-plan advice: map/unmap instead of explicit copies. Advisory —
   /// the launch path does not move data; benches and mclGetTunedConfig
   /// consume it (on the CPU mapping is zero-copy, paper Fig 7/8).

@@ -267,11 +267,11 @@ double score_candidate(const TunedConfig& cfg, const Features& feats,
   }
   if (irregular && cfg.chunk_divisor <= 4) score -= 0.25;
 
-  // Dispatch-order axis: work stealing only earns its fences on irregular
-  // cost; a uniform stream is served perfectly by the central counter.
-  if (cfg.scheduler == threading::ScheduleStrategy::WorkStealing) {
-    score += irregular ? 0.25 : -0.25;
-  }
+  // Dispatch-order axis: the default's stable per-thread slices hand a
+  // repeated launch the groups, and so the cached data, each thread had
+  // last time (paper Fig 9); the central counter's arrival-order claims
+  // lose that on every kernel.
+  if (cfg.scheduler != threading::kDefaultSchedule) score -= 0.25;
   return score;
 }
 
@@ -295,10 +295,11 @@ std::vector<TunedConfig> enumerate_candidates(const ocl::KernelDef& def,
     chunk_divs.push_back(4);
     chunk_divs.push_back(64);
   }
-  std::vector<threading::ScheduleStrategy> scheds{
-      threading::ScheduleStrategy::CentralCounter};
+  // The central counter is worth a trial only where its arrival-order
+  // balancing has a few groups per thread to work with.
+  std::vector<threading::ScheduleStrategy> scheds{threading::kDefaultSchedule};
   if (groups_est >= threads * 2) {
-    scheds.push_back(threading::ScheduleStrategy::WorkStealing);
+    scheds.push_back(threading::ScheduleStrategy::CentralCounter);
   }
   // Map-vs-copy plan: on the CPU device map IS zero-copy, so the plan knob
   // has one sensible value (paper Fig 7/8); kept in the config for the C

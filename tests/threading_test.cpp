@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
@@ -296,6 +298,52 @@ TEST(WorkStealing, RepeatedBatchesStayExact) {
   }
 }
 
+TEST(WorkStealing, CallerFinishesWhileAWorkerIsHeld) {
+  // Regression: thieves refused any remainder smaller than 2 * chunk, so a
+  // batch waited for that slot's owner. With the owner held by a submit()
+  // task, the caller could not finish alone, breaking the promise that the
+  // calling thread guarantees completion.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> held{false};
+  std::atomic<bool> task_done{false};
+  pool.submit([&] {
+    held.store(true);
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return release; });
+    task_done.store(true);
+  });
+  while (!held.load()) std::this_thread::yield();
+  // Releases the held worker after 2 s even if the batch never returns.
+  std::thread watchdog([&] {
+    std::unique_lock lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+    release = true;
+    cv.notify_all();
+  });
+
+  constexpr std::size_t kN = 100;
+  std::vector<std::atomic<int>> hits(kN);
+  const auto t0 = std::chrono::steady_clock::now();
+  pool.parallel_run(kN, [&](std::size_t i) { hits[i].fetch_add(1); }, 8,
+                    ScheduleStrategy::WorkStealing);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  const bool finished_while_held = !task_done.load();
+  {
+    std::lock_guard lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  pool.wait_idle();
+
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+  EXPECT_TRUE(finished_while_held);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 }  // namespace
 }  // namespace mcl::threading
 
@@ -406,7 +454,7 @@ TEST(ThreadPool, RangesChunkLargerThanCount) {
                             EXPECT_EQ(begin, 0u);
                             EXPECT_EQ(end, 50u);
                           },
-                          500);
+                          500, ScheduleStrategy::CentralCounter);
   EXPECT_EQ(calls.load(), 1);
 }
 
@@ -447,6 +495,61 @@ TEST(ThreadPool, IndexAdapterOnSubSpanCoversEachIndexOnce) {
       }
       EXPECT_EQ(stats_total(stats), kN) << "chunk " << chunk;
       EXPECT_LE(stats.participants, 3u);  // 2 span workers + caller
+    }
+  }
+}
+
+
+/// Start of WorkStealing slot `s` of `slots` over [0, count): the caller
+/// owns slot 0 and worker i slot i - span.begin + 1.
+std::size_t slot_start(std::size_t s, std::size_t slots, std::size_t count) {
+  return s * (count / slots) + std::min(s, count % slots);
+}
+
+/// Runs repeated WorkStealing batches over `span`, recording every call's
+/// range per thread, and checks that each thread's first range starts at
+/// its own slot's start (so a relaunch gives every thread the groups it had
+/// last time) and that RunStats counts every index.
+void expect_first_ranges_at_own_slots(ThreadPool& pool, WorkerSpan span,
+                                      std::size_t count, std::size_t chunk) {
+  const std::size_t slots = span.size() + 1;
+  for (int round = 0; round < 20; ++round) {
+    // Entry 0 is the caller, entry i + 1 worker i; each thread appends only
+    // to its own entry.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> calls(
+        pool.thread_count() + 1);
+    const RunStats stats = pool.parallel_ranges_on(
+        span, count,
+        [&](std::size_t begin, std::size_t end) {
+          calls[static_cast<std::size_t>(pool.worker_index_here() + 1)]
+              .emplace_back(begin, end);
+        },
+        chunk, ScheduleStrategy::WorkStealing);
+    const std::string where = "span=[" + std::to_string(span.begin) + "," +
+                              std::to_string(span.end) + ") count=" +
+                              std::to_string(count) + " chunk=" +
+                              std::to_string(chunk) + " round " +
+                              std::to_string(round);
+    ASSERT_FALSE(calls[0].empty()) << where;
+    EXPECT_EQ(calls[0].front().first, 0u) << where;
+    for (std::size_t w = 0; w < pool.thread_count(); ++w) {
+      if (calls[w + 1].empty()) continue;
+      ASSERT_TRUE(span.contains(w)) << where << " worker " << w;
+      EXPECT_EQ(calls[w + 1].front().first,
+                slot_start(w - span.begin + 1, slots, count))
+          << where << " worker " << w;
+    }
+    EXPECT_EQ(stats_total(stats), count) << where;
+  }
+}
+
+TEST(WorkStealing, EachThreadStartsAtItsOwnSlice) {
+  ThreadPool pool(4);
+  for (const WorkerSpan span : {WorkerSpan{0, 4}, WorkerSpan{1, 3}}) {
+    for (std::size_t chunk : {1u, 7u}) {
+      for (std::size_t count : {2u, 3u, 64u, 1003u}) {
+        expect_first_ranges_at_own_slots(pool, span, count, chunk);
+      }
     }
   }
 }

@@ -32,82 +32,145 @@
 #      ucontext fiber stacks, so the fiber suites are excluded via the
 #      label selection.
 #
+# Every stage runs even when an earlier one fails (a stage whose inputs a
+# failed build did not produce fails in turn); a per-stage PASS/FAIL summary
+# closes the run, and the exit status is nonzero if any stage failed.
+#
 # Usage: tools/tier1.sh [jobs]    (jobs defaults to nproc)
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 jobs="${1:-$(nproc)}"
 
-echo "== tier1: plain build =="
-cmake -B build -S .
-cmake --build build -j "$jobs"
-ctest --test-dir build --output-on-failure
+summary=()
+failures=0
 
-echo "== tier1: mclconform CL-surface coverage gate =="
-# The report is generated from the cl_surface table compiled into the shim,
-# so it cannot drift from the code; the --check pass fails if an Implemented
-# entry point names no covering test (or names one that is not a real ctest
-# target).
-./build/tools/mclconform --json build/conformance.json
-tools/plot_results.py --check build/conformance.json
+# stage <title> <function>: runs the function in a subshell under `set -e`,
+# so its first failing command ends that stage only, and records the result.
+stage() {
+  local title=$1 fn=$2 rc
+  echo "== tier1: $title =="
+  (set -e; "$fn")
+  rc=$?
+  if [ "$rc" -eq 0 ]; then
+    summary+=("PASS  $title")
+  else
+    summary+=("FAIL  $title (exit $rc)")
+    failures=$((failures + 1))
+  fi
+}
 
-echo "== tier1: mclsan --all static gate + KernelFacts schema check =="
-# Exit 1 = a kernel outside the known-positive set gained an error-severity
-# diagnostic; the facts file is the auto-tuner's input, so its schema is
-# pinned by plot_results.py --check.
-./build/tools/mclsan --all --facts build/kernel_facts.json
-tools/plot_results.py --check build/kernel_facts.json
+plain_build() {
+  cmake -B build -S .
+  cmake --build build -j "$jobs"
+}
 
-echo "== tier1: mclcheck differential smoke (fixed seed, 60 s budget) =="
-# Fixed-seed so the gate is reproducible; the clock-seeded long run is the
-# nightly `ctest -C nightly -L fuzz` job. Repro files go to the build tree.
-./build/tools/mclcheck --cases 2000 --seed 1 --budget-seconds 60 \
-  --repro-dir build
-# Any repro file that does land in the source tree must be minimized.
-find . -path ./build -prune -o -path ./build-asan -prune -o \
-  -path ./build-tsan -prune -o -name '*.mclrepro' -print0 |
-  while IFS= read -r -d '' repro; do
-    tools/plot_results.py --check "$repro"
-  done
+plain_tests() {
+  ctest --test-dir build --output-on-failure
+}
 
-echo "== tier1: serve_load closed-loop smoke (fixed seed) =="
-# The harness exits nonzero on any lost or hung ticket; the emitted
-# trajectory document is then schema-checked (monotonic timeline, ordered
-# percentiles, per-tenant request conservation). The committed
-# BENCH_serve.json perf-trajectory file comes from the full 1M-request run.
-./build/bench/serve_load --quick --tenants 8 --seed 1 \
-  --json build/BENCH_serve_smoke.json
-tools/plot_results.py --check build/BENCH_serve_smoke.json
+conform_gate() {
+  # The report is generated from the cl_surface table compiled into the
+  # shim, so it cannot drift from the code; the --check pass fails if an
+  # Implemented entry point names no covering test (or names one that is
+  # not a real ctest target).
+  ./build/tools/mclconform --json build/conformance.json
+  tools/plot_results.py --check build/conformance.json
+}
 
-echo "== tier1: mclobs critical-path smoke (fixed seed) =="
-# serve_load --obs records exact per-request critical paths and exits
-# nonzero unless every tenant's p99 decomposition covers >= 95% of the
-# measured end-to-end latency; the emitted report and `.mclobs` snapshot are
-# then schema-checked, and mclstat must render both (triage-tool smoke).
-./build/bench/serve_load --quick --tenants 8 --seed 1 --obs \
-  --json build/BENCH_serve_obs_smoke.json \
-  --obs-dump build/serve_smoke.mclobs
-tools/plot_results.py --check build/BENCH_serve_obs_smoke.json
-tools/plot_results.py --check build/serve_smoke.mclobs
-./build/tools/mclstat build/BENCH_serve_obs_smoke.json > /dev/null
-./build/tools/mclstat build/serve_smoke.mclobs > /dev/null
+san_gate() {
+  # Exit 1 = a kernel outside the known-positive set gained an
+  # error-severity diagnostic; the facts file is the auto-tuner's input, so
+  # its schema is pinned by plot_results.py --check.
+  ./build/tools/mclsan --all --facts build/kernel_facts.json
+  tools/plot_results.py --check build/kernel_facts.json
+}
 
-echo "== tier1: mcltune ablation smoke (fixed seed) =="
-# Fixed-seed quick run of the tuning ablation: the emitted document is
-# schema-checked (tuned arms no worse than paper-default within noise,
-# online convergence within the launch budget). The committed
-# BENCH_tune.json perf-trajectory file comes from the default-size run.
-./build/bench/ablation_tuning --quick --seed 42 \
-  --json build/BENCH_tune_smoke.json
-tools/plot_results.py --check build/BENCH_tune_smoke.json
+check_smoke() {
+  # Fixed-seed so the gate is reproducible; the clock-seeded long run is the
+  # nightly `ctest -C nightly -L fuzz` job. Repro files go to the build tree.
+  ./build/tools/mclcheck --cases 2000 --seed 1 --budget-seconds 60 \
+    --repro-dir build
+  # Any repro file that does land in the source tree must be minimized.
+  find . -path ./build -prune -o -path ./build-asan -prune -o \
+    -path ./build-tsan -prune -o -name '*.mclrepro' -print0 |
+    while IFS= read -r -d '' repro; do
+      tools/plot_results.py --check "$repro"
+    done
+}
 
-echo "== tier1: ASan+UBSan build =="
-cmake -B build-asan -S . -DMCL_SANITIZE=address,undefined
-cmake --build build-asan -j "$jobs"
-ctest --test-dir build-asan --output-on-failure
+serve_smoke() {
+  # The harness exits nonzero on any lost or hung ticket; the emitted
+  # trajectory document is then schema-checked (monotonic timeline, ordered
+  # percentiles, per-tenant request conservation). The committed
+  # BENCH_serve.json perf-trajectory file comes from the full 1M-request run.
+  ./build/bench/serve_load --quick --tenants 8 --seed 1 \
+    --json build/BENCH_serve_smoke.json
+  tools/plot_results.py --check build/BENCH_serve_smoke.json
+}
 
-echo "== tier1: TSan build (threading + queue + trace + prof + serve + tune + obs + subdev labels) =="
-cmake -B build-tsan -S . -DMCL_SANITIZE=thread
-cmake --build build-tsan -j "$jobs" --target threading_test queue_async_test trace_test prof_test serve_test tune_test obs_test subdevice_test
-ctest --test-dir build-tsan --output-on-failure -L "threading|queue|trace|prof|serve|tune|obs|subdev"
+obs_smoke() {
+  # serve_load --obs records exact per-request critical paths and exits
+  # nonzero unless every tenant's p99 decomposition covers >= 95% of the
+  # measured end-to-end latency; the emitted report and `.mclobs` snapshot
+  # are then schema-checked, and mclstat must render both (triage-tool
+  # smoke).
+  ./build/bench/serve_load --quick --tenants 8 --seed 1 --obs \
+    --json build/BENCH_serve_obs_smoke.json \
+    --obs-dump build/serve_smoke.mclobs
+  tools/plot_results.py --check build/BENCH_serve_obs_smoke.json
+  tools/plot_results.py --check build/serve_smoke.mclobs
+  ./build/tools/mclstat build/BENCH_serve_obs_smoke.json > /dev/null
+  ./build/tools/mclstat build/serve_smoke.mclobs > /dev/null
+}
 
+tune_smoke() {
+  # Fixed-seed quick run of the tuning ablation: the emitted document is
+  # schema-checked (tuned arms no worse than paper-default within noise,
+  # online convergence within the launch budget). The committed
+  # BENCH_tune.json perf-trajectory file comes from the default-size run.
+  ./build/bench/ablation_tuning --quick --seed 42 \
+    --json build/BENCH_tune_smoke.json
+  tools/plot_results.py --check build/BENCH_tune_smoke.json
+}
+
+asan_build() {
+  cmake -B build-asan -S . -DMCL_SANITIZE=address,undefined
+  cmake --build build-asan -j "$jobs"
+}
+
+asan_tests() {
+  ctest --test-dir build-asan --output-on-failure
+}
+
+tsan_build() {
+  cmake -B build-tsan -S . -DMCL_SANITIZE=thread
+  cmake --build build-tsan -j "$jobs" --target threading_test \
+    queue_async_test trace_test prof_test serve_test tune_test obs_test \
+    subdevice_test
+}
+
+tsan_tests() {
+  ctest --test-dir build-tsan --output-on-failure \
+    -L "threading|queue|trace|prof|serve|tune|obs|subdev"
+}
+
+stage "plain build" plain_build
+stage "plain ctest (full suite)" plain_tests
+stage "mclconform CL-surface coverage gate" conform_gate
+stage "mclsan --all static gate + KernelFacts schema check" san_gate
+stage "mclcheck differential smoke (fixed seed, 60 s budget)" check_smoke
+stage "serve_load closed-loop smoke (fixed seed)" serve_smoke
+stage "mclobs critical-path smoke (fixed seed)" obs_smoke
+stage "mcltune ablation smoke (fixed seed)" tune_smoke
+stage "ASan+UBSan build" asan_build
+stage "ASan+UBSan ctest (full suite)" asan_tests
+stage "TSan build" tsan_build
+stage "TSan ctest (threading + queue + trace + prof + serve + tune + obs + subdev labels)" tsan_tests
+
+echo "== tier1: summary =="
+printf '  %s\n' "${summary[@]}"
+if [ "$failures" -ne 0 ]; then
+  echo "== tier1: $failures stage(s) failed =="
+  exit 1
+fi
 echo "== tier1: all checks passed =="
