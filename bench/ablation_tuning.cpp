@@ -14,6 +14,9 @@
 //                   steady-state time under the incumbent. `converged_at`
 //                   records how many launches convergence took.
 //
+// Every arm reports its median single-launch time over the measurement
+// window, so one descheduled launch cannot decide a comparison.
+//
 // Writes BENCH_tune.json: one JSON object with an "mcltune" version marker
 // (validated by tools/plot_results.py --check, smoke-run by tools/tier1.sh).
 // The check asserts tuned arms are no worse than paper-default within noise
@@ -69,6 +72,26 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Exactly one untimed-warmup-free launch per measurement.
+core::MeasureOptions one_launch() {
+  core::MeasureOptions one;
+  one.min_time = 0.0;
+  one.warmup_iters = 0;
+  one.min_iters = 1;
+  one.max_iters = 1;
+  return one;
+}
+
+/// An arm's time in ms: the median single launch over `opts`. A mean over
+/// the same launches moves with one descheduled launch; the median does not.
+double median_ms(bench::AppDriver& app, ocl::CommandQueue& q,
+                 const ocl::NDRange& local, const core::MeasureOptions& opts) {
+  const core::MeasureOptions one = one_launch();
+  return core::measure_reported([&] { return app.time(q, local, one); }, opts)
+             .per_iter_stats.median *
+         1e3;
+}
+
 /// One timed arm on a fresh device/context/queue (mirrors
 /// ablation_executors: per-config device so executor/scheduler state never
 /// leaks between arms).
@@ -79,7 +102,7 @@ double time_arm(const std::function<std::unique_ptr<bench::AppDriver>()>& make,
   ocl::Context ctx(device);
   ocl::CommandQueue q(ctx);
   std::unique_ptr<bench::AppDriver> app = make();
-  return app->time(q, local, opts) * 1e3;
+  return median_ms(*app, q, local, opts);
 }
 
 /// Candidate explicit workgroup sizes for the manual sweep (NULL first: the
@@ -171,11 +194,7 @@ WorkloadResult run_workload(
     ocl::CommandQueue q(ctx);
     std::unique_ptr<bench::AppDriver> app = make();
     const std::size_t threads = static_cast<std::size_t>(device.compute_units());
-    core::MeasureOptions one_shot;
-    one_shot.min_time = 0.0;
-    one_shot.warmup_iters = 0;
-    one_shot.min_iters = 1;
-    one_shot.max_iters = 1;
+    const core::MeasureOptions one_shot = one_launch();
     for (int i = 1; i <= opt.repeats; ++i) {
       (void)app->time(q, ocl::NDRange{}, one_shot);
       if (tuner.converged(app->kernel().def().name, app->global(),
@@ -185,7 +204,7 @@ WorkloadResult run_workload(
       }
     }
     r.explore = tuner.stats().explore;
-    r.tuned_online.ms = app->time(q, ocl::NDRange{}, opts) * 1e3;
+    r.tuned_online.ms = median_ms(*app, q, ocl::NDRange{}, opts);
     // Report the configs the tuner settled on (online: the measured
     // incumbent; seed: what the pure ranking would pick).
     if (auto cfg = tuner.tuned_config(app->kernel().def(), app->global(),

@@ -98,8 +98,8 @@ void BM_NDRangeLaunch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-// 1 << 20 is mclbench suite_default's Square size: 16,384 groups of 64,
-// where the per-group setup GroupRunner::run_groups amortizes dominates.
+// 1 << 20 is mclbench suite_default's Square size. Its NULL local resolves
+// to 4096-item groups (256 of them); 4096 itself keeps 64-item groups.
 BENCHMARK(BM_NDRangeLaunch)->Arg(64)->Arg(4096)->Arg(262144)->Arg(1 << 20);
 
 /// An n x n x n product bound to one of the Matrixmul kernels (args 0..5).

@@ -116,10 +116,10 @@ Memory download(ocl::CommandQueue& q, const Case& c,
 }
 
 /// Blocking in-order run on `device`: plan-controlled transfers, one
-/// NDRange, full readback (inputs included, to catch stray writes). A null
-/// `local` launches the case's own NDRange. A 2-D `local` (x, rows) folds the
-/// case's items into a (global / rows, rows) plane, which the interpreter
-/// flattens back row-major.
+/// NDRange, full readback (inputs included, to catch stray writes). `local`
+/// is the launch's local size; a null one leaves it to the device. A 2-D
+/// `local` (x, rows) folds the case's items into a (global / rows, rows)
+/// plane, which the interpreter flattens back row-major.
 Memory run_blocking(ocl::Device& device, const Case& c, const Memory& init,
                     bool with_simd, const ocl::NDRange& local,
                     const Plan& plan) {
@@ -133,13 +133,10 @@ Memory run_blocking(ocl::Device& device, const Case& c, const Memory& init,
   std::vector<ocl::Buffer*> ptrs;
   for (ocl::Buffer& b : buffers) ptrs.push_back(&b);
   bind_args(kernel, c, ptrs);
-  const ocl::NDRange launch_local = local.is_null() ? ocl::NDRange(c.local)
-                                                   : local;
-  const ocl::NDRange global =
-      launch_local.dims == 2
-          ? ocl::NDRange(c.global / launch_local[1], launch_local[1])
-          : ocl::NDRange(c.global);
-  (void)q.enqueue_ndrange(kernel, global, launch_local);
+  const ocl::NDRange global = local.dims == 2
+                                  ? ocl::NDRange(c.global / local[1], local[1])
+                                  : ocl::NDRange(c.global);
+  (void)q.enqueue_ndrange(kernel, global, local);
   return download(q, c, buffers, plan.map_outputs);
 }
 
@@ -303,17 +300,20 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
   Session& s = session();
   core::Rng rng(opt.transform_seed ^ (c.seed * 0x9e3779b97f4a7c15ULL));
   const bool local_free = !c.has_barrier() && !c.has_local();
+  const bool vectorizable =
+      local_free &&
+      veclegal::analyze(ir.body, veclegal::Model::Spmd).vectorizable;
+  const ocl::NDRange own(c.local);
 
   if (auto m = run_backend(c, "pooled", expected, opt.ulp_tol, [&] {
-        return run_blocking(s.pooled, c, init, false, {}, c.plan);
+        return run_blocking(s.pooled, c, init, false, own, c.plan);
       })) {
     return m;
   }
 
-  if (local_free &&
-      veclegal::analyze(ir.body, veclegal::Model::Spmd).vectorizable) {
+  if (vectorizable) {
     if (auto m = run_backend(c, "simd", expected, opt.ulp_tol, [&] {
-          return run_blocking(s.pooled, c, init, true, {}, c.plan);
+          return run_blocking(s.pooled, c, init, true, own, c.plan);
         })) {
       return m;
     }
@@ -327,14 +327,14 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
   }
 
   if (auto m = run_backend(c, "checked", expected, opt.ulp_tol, [&] {
-        return run_blocking(s.checked, c, init, false, {}, c.plan);
+        return run_blocking(s.checked, c, init, false, own, c.plan);
       })) {
     return m;
   }
 
   if (opt.run_gpusim) {
     if (auto m = run_backend(c, "gpusim", expected, opt.ulp_tol, [&] {
-          return run_blocking(s.gpusim, c, init, false, {}, c.plan);
+          return run_blocking(s.gpusim, c, init, false, own, c.plan);
         })) {
       return m;
     }
@@ -348,7 +348,7 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
       std::swap(s.perm.perm[i - 1], s.perm.perm[rng.next_below(i)]);
     }
     auto m = run_backend(c, "dispatch-order", expected, opt.ulp_tol, [&] {
-      return run_blocking(s.serial, c, init, false, {}, c.plan);
+      return run_blocking(s.serial, c, init, false, own, c.plan);
     });
     s.perm.perm.clear();
     if (m) return m;
@@ -368,6 +368,14 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
         })) {
       return m;
     }
+    // NULL local: the CPU device's own rule sizes the groups (through the
+    // Simd form when there is one, as on the paper-default path).
+    if (auto m = run_backend(c, "null-local", expected, opt.ulp_tol, [&] {
+          return run_blocking(s.pooled, c, init, vectorizable, ocl::NDRange{},
+                              c.plan);
+        })) {
+      return m;
+    }
     if (c.global / c.local >= 2) {
       if (auto m = run_backend(c, "split-oo", expected, opt.ulp_tol, [&] {
             return run_split_async(s.pooled, c, init, rng);
@@ -379,7 +387,7 @@ std::optional<Mismatch> run_case(const Case& c, const DiffOptions& opt) {
 
   const Plan flipped{!c.plan.map_inputs, !c.plan.map_outputs};
   if (auto m = run_backend(c, "plan-flip", expected, opt.ulp_tol, [&] {
-        return run_blocking(s.pooled, c, init, false, {}, flipped);
+        return run_blocking(s.pooled, c, init, false, own, flipped);
       })) {
     return m;
   }

@@ -14,6 +14,9 @@
 //   dispatch-order  serial execution in a seeded random workgroup
 //                   permutation (CpuDeviceConfig::dispatch_order hook)
 //   rechunk         pooled, with a different workgroup size (local-free)
+//   null-local      pooled at a NULL local size, so the CPU device's own
+//                   rule picks the groups (local-free; Simd form when
+//                   vectorizable)
 //   split-oo        NDRange split at a group boundary into two offset
 //                   launches on two OutOfOrder queues, async transfers,
 //                   random wait-list DAG with cross-queue edges (local-free)

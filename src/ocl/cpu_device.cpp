@@ -61,6 +61,17 @@ bool inject_chunker_bug() {
   return inject != nullptr && std::string_view(inject) == "chunker";
 }
 
+/// The local size a CPU launch runs at: the caller's, or for NULL the CPU
+/// device's rule (pick_cpu_default_local), so every CPU path agrees.
+NDRange resolve_local(const KernelDef& def, bool has_local_args,
+                      const NDRange& global, const NDRange& local,
+                      ExecutorKind executor) noexcept {
+  if (!local.is_null()) return local;
+  return pick_cpu_default_local(
+      global, group_oblivious(def, has_local_args, executor),
+      static_cast<std::size_t>(simd::kNativeFloatWidth));
+}
+
 prof::LaunchMeta launch_meta(const KernelDef& def,
                              const detail::GroupRunner& runner,
                              ExecutorKind used, double seconds,
@@ -176,10 +187,15 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
                                     std::size_t threads,
                                     std::mutex& launch_mutex) {
   threads = std::max<std::size_t>(threads, 1);
+  // NULL local resolves here, once, for every path below (Checked,
+  // dispatch_order, pooled); only the tuner may still replace it.
+  const bool has_local_args = args.total_local_bytes() > 0;
+  const NDRange resolved_local =
+      resolve_local(def, has_local_args, global, local, config_.executor);
   if (config_.executor == ExecutorKind::Checked) {
     // mclsan dynamic mode: serial, instrumented execution. Throws
     // SanitizerViolation (after the launch completes) on any finding.
-    detail::CheckedRunner checked(def, args, global, local,
+    detail::CheckedRunner checked(def, args, global, resolved_local,
                                   config_.fiber_stack_bytes, offset);
     LaunchResult result;
     result.local_used = checked.local();
@@ -217,14 +233,13 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
   // binds no local-memory args — their byte counts were sized for the
   // caller's groups. One relaxed load when MCL_TUNE is off.
   ExecutorKind exec_kind = config_.executor;
-  NDRange launch_local = local;
+  NDRange launch_local = resolved_local;
   std::size_t chunk_divisor = 16;
   threading::ScheduleStrategy scheduler = config_.scheduler;
   std::optional<tune::Decision> tuned;
   if (tune::enabled() && config_.executor == ExecutorKind::Auto &&
       !config_.dispatch_order) {
-    tuned = tune::Tuner::instance().decide(def, global, local,
-                                           args.total_local_bytes() > 0,
+    tuned = tune::Tuner::instance().decide(def, global, local, has_local_args,
                                            threads);
     if (tuned) {
       exec_kind = tuned->config.executor;
@@ -233,7 +248,7 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
       // caller's local byte counts are sized for its own group size, and a
       // resized group indexing past them is memory corruption, not a tuning
       // regression.
-      if (local.is_null() && args.total_local_bytes() == 0 &&
+      if (local.is_null() && !has_local_args &&
           !tuned->config.local.is_null()) {
         launch_local = tuned->config.local;
       }
@@ -338,8 +353,11 @@ LaunchResult CpuDevice::launch_pinned(const KernelDef& def,
                                       const NDRange& global,
                                       const NDRange& local,
                                       std::span<const int> group_to_cpu) {
-  detail::GroupRunner runner(def, args, global, local, config_.executor,
-                             config_.fiber_stack_bytes);
+  detail::GroupRunner runner(
+      def, args, global,
+      resolve_local(def, args.total_local_bytes() > 0, global, local,
+                    config_.executor),
+      config_.executor, config_.fiber_stack_bytes);
   core::check(group_to_cpu.size() == runner.total_groups(),
               core::Status::InvalidValue,
               "group_to_cpu must name a CPU for every workgroup");

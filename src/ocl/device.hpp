@@ -47,7 +47,8 @@ class Device {
   [[nodiscard]] virtual int compute_units() const = 0;
 
   /// Validates and executes an NDRange. `local` may be null (NullRange) to
-  /// let the device pick (pick_default_local policy); `offset` (null = 0)
+  /// let the device pick (pick_cpu_default_local on the CPU device,
+  /// pick_default_local on the simulated GPU); `offset` (null = 0)
   /// shifts every global id, as clEnqueueNDRangeKernel's
   /// global_work_offset does.
   virtual LaunchResult launch(const KernelDef& def, const KernelArgs& args,

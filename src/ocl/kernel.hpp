@@ -337,6 +337,18 @@ struct KernelDef {
   bool needs_barrier = false;  ///< scalar body calls WorkItemCtx::barrier()
 };
 
+/// True when the groups of a launch of `def` share nothing: no barrier, no
+/// workgroup form, no local-memory args, and not the Fiber executor (which
+/// gives every item of a group its own stack). The CPU device's NULL local
+/// (pick_cpu_default_local) sizes such a launch's groups for dispatch cost
+/// alone.
+[[nodiscard]] inline bool group_oblivious(const KernelDef& def,
+                                          bool has_local_args,
+                                          ExecutorKind executor) noexcept {
+  return !def.needs_barrier && def.workgroup == nullptr && !has_local_args &&
+         executor != ExecutorKind::Fiber;
+}
+
 /// A "built program": a set of kernel definitions.
 class Program {
  public:

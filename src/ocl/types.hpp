@@ -103,10 +103,62 @@ struct NDRange {
   }
 };
 
-/// The runtime's NULL-local-size policy, shared by device implementations
-/// and inspectable by tests/benches: 64 items along x for 1D ranges, 8x8 for
-/// 2D, 4x4x4 for 3D, clamped to divide the global size (falling back to the
-/// largest divisor <= the target).
-[[nodiscard]] NDRange pick_default_local(const NDRange& global) noexcept;
+/// The runtime's base NULL-local-size policy, used by the simulated GPU and,
+/// on the CPU device, by every launch that is not group-oblivious: 64 items
+/// along x for 1D ranges, 8x8 for 2D, 4x4x4 for 3D, clamped to divide the
+/// global size (falling back to the largest divisor <= the target).
+[[nodiscard]] constexpr NDRange pick_default_local(const NDRange& global) noexcept {
+  constexpr std::size_t kTarget[3][3] = {{64, 1, 1}, {8, 8, 1}, {4, 4, 4}};
+  const std::size_t* target =
+      kTarget[global.dims == 1 ? 0 : global.dims == 2 ? 1 : 2];
+  NDRange local(1, 1, 1);
+  local.dims = global.dims;
+  for (std::size_t d = 0; d < global.dims; ++d) {
+    std::size_t div = target[d] < global.size[d] ? target[d] : global.size[d];
+    while (div > 1 && global.size[d] % div != 0) --div;
+    local.size[d] = div;
+  }
+  return local;
+}
+
+/// Largest group, in items, the CPU device's NULL policy builds.
+inline constexpr std::size_t kCpuMaxDefaultGroupItems = 4096;
+/// Fewest groups the CPU device's NULL policy leaves, so every pool thread
+/// still gets several groups to balance with.
+inline constexpr std::size_t kCpuMinDefaultGroups = 64;
+
+/// The CPU device's NULL-local rule. The groups of a group-oblivious launch
+/// (ocl::group_oblivious: no barrier, no local-memory args, no workgroup
+/// form) share nothing, so per-group dispatch is pure cost: dim 0 grows to the largest divisor of
+/// the global size that is a multiple of `simd_width` (whole lane groups per
+/// row), keeps the group at <= kCpuMaxDefaultGroupItems items and leaves
+/// >= kCpuMinDefaultGroups groups. Dims 1 and 2, every other kernel, and a
+/// size where no such divisor beats it keep pick_default_local's answer.
+/// The candidates are the multiples of `simd_width` under both caps, tried
+/// from the largest down (the dim-0 group count rising from its minimum),
+/// so the search costs at most kCpuMaxDefaultGroupItems / simd_width steps
+/// whatever the global size, and none for 1-D launches of <= 4096 items.
+[[nodiscard]] constexpr NDRange pick_cpu_default_local(
+    const NDRange& global, bool group_oblivious,
+    std::size_t simd_width) noexcept {
+  NDRange local = pick_default_local(global);
+  if (!group_oblivious || global.total() == 0 || simd_width == 0) return local;
+  const std::size_t rest = local.size[1] * local.size[2];
+  const std::size_t other_groups =
+      (global[1] / local[1]) * (global[2] / local[2]);
+  // (global0 / l0) * other_groups >= kCpuMinDefaultGroups, with l0 | global0.
+  std::size_t cap = global.size[0] * other_groups / kCpuMinDefaultGroups;
+  if (cap > kCpuMaxDefaultGroupItems / rest) {
+    cap = kCpuMaxDefaultGroupItems / rest;
+  }
+  for (std::size_t l0 = cap - cap % simd_width; l0 > local.size[0];
+       l0 -= simd_width) {
+    if (global.size[0] % l0 == 0) {
+      local.size[0] = l0;
+      break;
+    }
+  }
+  return local;
+}
 
 }  // namespace mcl::ocl

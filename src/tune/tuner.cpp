@@ -60,17 +60,6 @@ std::uint64_t next_rand(std::uint64_t& state) {
   return x * 0x2545F4914F6CDD1Dull;
 }
 
-/// Largest divisor of `n` that is <= `target` — the same clamping rule
-/// pick_default_local applies (replicated here: that helper lives in
-/// mcl_ocl, which links mcl_tune, not the other way round).
-std::size_t largest_divisor_le(std::size_t n, std::size_t target) {
-  if (n == 0) return 1;
-  for (std::size_t d = std::min(target, n); d > 1; --d) {
-    if (n % d == 0) return d;
-  }
-  return 1;
-}
-
 bool divides(const ocl::NDRange& local, const ocl::NDRange& global) {
   for (std::size_t d = 0; d < global.dims && d < 3; ++d) {
     if (local[d] == 0 || global[d] % local[d] != 0) return false;
@@ -78,39 +67,46 @@ bool divides(const ocl::NDRange& local, const ocl::NDRange& global) {
   return true;
 }
 
+/// The local size the CPU device gives this launch at NULL — the runtime
+/// default every tuned arm competes with.
+ocl::NDRange runtime_default_local(const ocl::KernelDef& def,
+                                   const ocl::NDRange& global,
+                                   bool has_local_args) {
+  return ocl::pick_cpu_default_local(
+      global, ocl::group_oblivious(def, has_local_args, ocl::ExecutorKind::Auto),
+      static_cast<std::size_t>(simd::kNativeFloatWidth));
+}
+
 /// Candidate local sizes for one global shape: the runtime default plus the
 /// paper's Fig 2 sweep points, legality-filtered (must divide the global,
-/// items/group capped). Returns an empty vector when the caller fixed the
-/// local size or the kernel binds local-memory args (whose byte counts were
-/// sized for the caller's groups — overriding would corrupt them).
-std::vector<ocl::NDRange> candidate_locals(const ocl::NDRange& global,
+/// items/group capped; the runtime default is exempt from the cap, since
+/// the untuned launch already runs it). Returns an empty vector when the
+/// caller fixed the local size or the kernel binds local-memory args (whose
+/// byte counts were sized for the caller's groups — overriding would
+/// corrupt them).
+std::vector<ocl::NDRange> candidate_locals(const ocl::KernelDef& def,
+                                           const ocl::NDRange& global,
                                            const ocl::NDRange& local,
-                                           bool has_local_args,
-                                           bool barrier) {
+                                           bool has_local_args) {
   std::vector<ocl::NDRange> out;
   if (!local.is_null() || has_local_args) return out;
+  out.push_back(runtime_default_local(def, global, has_local_args));
   const std::size_t cap =
-      barrier ? kMaxBarrierItemsPerGroup : kMaxItemsPerGroup;
+      def.needs_barrier ? kMaxBarrierItemsPerGroup : kMaxItemsPerGroup;
   auto push = [&](const ocl::NDRange& cand) {
     if (!divides(cand, global) || cand.total() > cap) return;
     if (std::find(out.begin(), out.end(), cand) == out.end()) out.push_back(cand);
   };
   if (global.dims == 1) {
-    push(ocl::NDRange{largest_divisor_le(global[0], 64)});  // runtime default
     for (const std::size_t w : {std::size_t{64}, std::size_t{128},
                                 std::size_t{256}, std::size_t{512}}) {
       push(ocl::NDRange{w});
     }
   } else if (global.dims == 2) {
-    push(ocl::NDRange{largest_divisor_le(global[0], 8),
-                      largest_divisor_le(global[1], 8)});
     push(ocl::NDRange{8, 8});
     push(ocl::NDRange{16, 16});
     push(ocl::NDRange{32, 4});
   } else {
-    push(ocl::NDRange{largest_divisor_le(global[0], 4),
-                      largest_divisor_le(global[1], 4),
-                      largest_divisor_le(global[2], 4)});
     push(ocl::NDRange{4, 4, 4});
     push(ocl::NDRange{8, 8, 2});
   }
@@ -153,7 +149,11 @@ bool config_legal(const ocl::KernelDef& def, const TunedConfig& cfg,
     if (!local.is_null() || has_local_args) return false;
     const std::size_t cap =
         def.needs_barrier ? kMaxBarrierItemsPerGroup : kMaxItemsPerGroup;
-    if (!divides(cfg.local, global) || cfg.local.total() > cap) return false;
+    if (!divides(cfg.local, global)) return false;
+    if (cfg.local.total() > cap &&
+        !(cfg.local == runtime_default_local(def, global, has_local_args))) {
+      return false;
+    }
   }
   return cfg.chunk_divisor != 0;
 }
@@ -283,7 +283,7 @@ std::vector<TunedConfig> enumerate_candidates(const ocl::KernelDef& def,
                                               std::size_t threads) {
   const std::vector<ocl::ExecutorKind> execs = candidate_executors(def);
   std::vector<ocl::NDRange> locals =
-      candidate_locals(global, local, has_local_args, def.needs_barrier);
+      candidate_locals(def, global, local, has_local_args);
   if (locals.empty()) locals.push_back(ocl::NDRange{});  // keep caller/default
 
   const std::size_t total = std::max<std::size_t>(global.total(), 1);

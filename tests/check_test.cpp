@@ -18,6 +18,8 @@
 #include "check/shrink.hpp"
 #include "check/soundness.hpp"
 #include "core/rng.hpp"
+#include "ocl/types.hpp"
+#include "simd/vec.hpp"
 #include "testseed.hpp"
 
 namespace mcl::check {
@@ -238,6 +240,40 @@ TEST(Differ, SimdPlaneCoversRowsAndRemainders) {
   c.work_items = 30;
   for (Array& a : c.arrays) a.extent = 33;
   ASSERT_FALSE(validate(c).has_value()) << *validate(c);
+  const auto m = run_case(c);
+  EXPECT_FALSE(m.has_value()) << m->to_string();
+}
+
+/// tiny_case stretched to `global` items launched at `local`, the last
+/// `guarded` items inactive.
+Case wide_case(std::size_t global, std::size_t local, long long guarded) {
+  Case c = tiny_case(Ty::F32);
+  c.global = global;
+  c.local = local;
+  c.work_items = static_cast<long long>(global) - guarded;
+  for (Array& a : c.arrays) a.extent = static_cast<long long>(global);
+  return c;
+}
+
+// Fixed cases for the null-local backend. At a prime global the CPU rule
+// keeps one-item groups; at 2^14 items it grows dim 0 past the base pick of
+// 64 (to 256: the largest SIMD-aligned divisor leaving 64 groups).
+TEST(Differ, NullLocalAtPrimeGlobal) {
+  const Case c = wide_case(8191, 1, 0);
+  ASSERT_FALSE(validate(c).has_value()) << *validate(c);
+  EXPECT_EQ(ocl::pick_cpu_default_local(ocl::NDRange{8191}, true,
+                                        simd::kNativeFloatWidth)[0],
+            1u);
+  const auto m = run_case(c);
+  EXPECT_FALSE(m.has_value()) << m->to_string();
+}
+
+TEST(Differ, NullLocalGrowsPowerOfTwoGroups) {
+  const Case c = wide_case(std::size_t{1} << 14, 64, 5);
+  ASSERT_FALSE(validate(c).has_value()) << *validate(c);
+  EXPECT_EQ(ocl::pick_cpu_default_local(ocl::NDRange{c.global}, true,
+                                        simd::kNativeFloatWidth)[0],
+            256u);
   const auto m = run_case(c);
   EXPECT_FALSE(m.has_value()) << m->to_string();
 }

@@ -113,6 +113,53 @@ TEST(DefaultLocal, AlwaysDivides) {
   }
 }
 
+// The CPU device's rule for group-oblivious kernels, at W = 8 (AVX2), the
+// resolutions DESIGN.md and docs/runtime.md quote.
+TEST(CpuDefaultLocal, GrowsSimdAlignedGroupsForObliviousKernels) {
+  const auto rule = [](const NDRange& g) {
+    return pick_cpu_default_local(g, /*group_oblivious=*/true, 8);
+  };
+  EXPECT_EQ(rule(NDRange{std::size_t{1} << 20}), NDRange{4096});
+  EXPECT_EQ(rule(NDRange{1'000'000}), NDRange{4000});
+  EXPECT_EQ(rule(NDRange{1'100'000}), NDRange{4000});
+  EXPECT_EQ(rule(NDRange(512, 512)), NDRange(512, 8));
+  EXPECT_EQ(rule(NDRange(256, 256)), NDRange(128, 8));
+  // Launches of <= 4096 items keep the base pick.
+  EXPECT_EQ(rule(NDRange{4096}), NDRange{64});
+  EXPECT_EQ(rule(NDRange{64}), NDRange{64});
+  EXPECT_EQ(rule(NDRange{2048}), NDRange{64});
+  // A prime has no SIMD-aligned divisor: one-item groups, as before.
+  EXPECT_EQ(rule(NDRange{1'000'003}), NDRange{1});
+  EXPECT_EQ(rule(NDRange{9973}), NDRange{1});
+  // Dims 1 and 2 keep the base pick.
+  EXPECT_EQ(rule(NDRange(64, 64, 64)), NDRange(64, 4, 4));
+}
+
+TEST(CpuDefaultLocal, OtherKernelsKeepTheBasePick) {
+  for (const NDRange g : {NDRange{std::size_t{1} << 20}, NDRange{1'000'000},
+                          NDRange(512, 512), NDRange(64, 64, 64)}) {
+    EXPECT_EQ(pick_cpu_default_local(g, /*group_oblivious=*/false, 8),
+              pick_default_local(g));
+  }
+}
+
+TEST(CpuDefaultLocal, DividesAndHonoursItsBounds) {
+  for (const std::size_t w : {std::size_t{1}, std::size_t{4}, std::size_t{8},
+                              std::size_t{16}}) {
+    for (std::size_t g = 1; g < 20000; g += 37) {
+      const NDRange l = pick_cpu_default_local(NDRange{g}, true, w);
+      const std::size_t base = pick_default_local(NDRange{g})[0];
+      ASSERT_EQ(g % l[0], 0u) << g;
+      ASSERT_GE(l[0], base) << g;
+      if (l[0] != base) {
+        EXPECT_EQ(l[0] % w, 0u) << g;
+        EXPECT_LE(l[0], kCpuMaxDefaultGroupItems) << g;
+        EXPECT_GE(g / l[0], kCpuMinDefaultGroups) << g;
+      }
+    }
+  }
+}
+
 // ----- buffers ------------------------------------------------------------------
 
 TEST(Buffer, DefaultAllocZeroed) {
@@ -362,6 +409,81 @@ TEST(Launch, WorkgroupFormKernel) {
     for (std::size_t i = 0; i < l; ++i) expect += in[g * l + i];
     EXPECT_EQ(p[g], expect);
   }
+}
+
+/// Barrier kernel without local memory: each item writes its id, then all
+/// synchronize.
+void barrier_ids_scalar(const KernelArgs& a, const WorkItemCtx& c) {
+  a.buffer<unsigned>(0)[c.global_id(0)] = static_cast<unsigned>(c.global_id(0));
+  c.barrier();
+}
+const KernelRegistrar reg_barrier_ids{{.name = "test_barrier_ids",
+                                       .scalar = &barrier_ids_scalar,
+                                       .needs_barrier = true}};
+
+/// Stages each item's value through its own local-memory slot, no barrier.
+void local_stage_scalar(const KernelArgs& a, const WorkItemCtx& c) {
+  float* lmem = c.local_mem<float>(2);
+  lmem[c.local_id(0)] = a.buffer<const float>(0)[c.global_id(0)];
+  a.buffer<float>(1)[c.global_id(0)] = 2.0f * lmem[c.local_id(0)];
+}
+const KernelRegistrar reg_local_stage{
+    {.name = "test_local_stage", .scalar = &local_stage_scalar}};
+
+// At NULL local the CPU device grows only group-oblivious launches: a
+// barrier kernel, a local-memory-arg kernel and a Fiber-configured device
+// keep the base pick; every CPU launch path (pooled, Checked,
+// dispatch_order) resolves the oblivious launch to the same local.
+TEST(Launch, NullLocalGrowsOnlyGroupObliviousLaunches) {
+  const std::size_t n = 65536;
+  const NDRange base = pick_default_local(NDRange{n});
+  const NDRange grown = pick_cpu_default_local(
+      NDRange{n}, true, static_cast<std::size_t>(simd::kNativeFloatWidth));
+  ASSERT_EQ(base, NDRange{64});
+  ASSERT_EQ(grown, NDRange{1024});
+  std::vector<float> in(n, 1.5f);
+
+  const auto local_used = [&](CpuDeviceConfig cfg, const char* kernel,
+                              bool local_arg) {
+    CpuDevice dev(std::move(cfg));
+    Context ctx(dev);
+    CommandQueue q(ctx);
+    Buffer bin(MemFlags::ReadOnly | MemFlags::CopyHostPtr, n * 4, in.data());
+    Buffer bout(MemFlags::ReadWrite, n * 4);
+    Kernel k = ctx.create_kernel(Program::builtin(), kernel);
+    if (std::string(kernel) == "test_barrier_ids") {
+      k.set_arg(0, bout);
+    } else {
+      k.set_arg(0, bin);
+      k.set_arg(1, bout);
+      if (local_arg) k.set_arg_local(2, 4096 * sizeof(float));
+    }
+    const Event ev = q.enqueue_ndrange(k, NDRange{n}, NDRange{});
+    if (std::string(kernel) == "test_barrier_ids") {
+      EXPECT_EQ(bout.as<const unsigned>()[n - 1], n - 1);
+    } else {
+      EXPECT_EQ(bout.as<const float>()[n - 1], 3.0f) << kernel;
+    }
+    return ev.launch.local_used;
+  };
+
+  EXPECT_EQ(local_used({}, "test_barrier_ids", false), base);
+  EXPECT_EQ(local_used({}, "test_local_stage", true), base);
+  EXPECT_EQ(local_used({.executor = ExecutorKind::Fiber}, "test_double", false),
+            base);
+  EXPECT_EQ(local_used({}, "test_double", false), grown);
+  EXPECT_EQ(local_used({.executor = ExecutorKind::Loop}, "test_double", false),
+            grown);
+  EXPECT_EQ(local_used({.executor = ExecutorKind::Checked}, "test_double",
+                       false),
+            grown);
+  EXPECT_EQ(local_used({.threads = 1,
+                        .dispatch_order =
+                            [](std::size_t k, std::size_t total) {
+                              return total - 1 - k;
+                            }},
+                       "test_double", false),
+            grown);
 }
 
 TEST(Launch, ValidationErrors) {

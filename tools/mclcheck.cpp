@@ -3,7 +3,8 @@
 //   mclcheck [--cases N] [--seed S|clock] [--ulp U] [--budget-seconds T]
 //            [--repro-dir DIR] [--no-gpusim] [--quiet]
 //       Generate N seeded cases and run each through every backend (pooled,
-//       simd, checked, gpusim, dispatch-order, rechunk, split-oo, plan-flip)
+//       simd, simd-plane, checked, gpusim, dispatch-order, rechunk,
+//       null-local, split-oo, plan-flip)
 //       against the scalar reference. On the first mismatch: minimize,
 //       write a replayable .mclrepro file, print the diagnosis, exit 1.
 //
