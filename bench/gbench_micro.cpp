@@ -81,10 +81,10 @@ BENCHMARK(BM_PoolParallelRun)->Arg(1)->Arg(64)->Arg(4096);
 
 // --- NDRange launch overhead ---------------------------------------------------
 
-void BM_NDRangeLaunch(benchmark::State& state) {
-  // Tiny kernel: the launch cost (validation + partition + dispatch)
-  // dominates; this is the per-launch constant the Fig 1/3 effects sit on.
-  ocl::CpuDevice device(ocl::CpuDeviceConfig{.threads = 2});
+/// Blocking launches of `square` over state.range(0) items on a device with
+/// `threads` pool workers.
+void ndrange_launch_loop(benchmark::State& state, std::size_t threads) {
+  ocl::CpuDevice device(ocl::CpuDeviceConfig{.threads = threads});
   ocl::Context ctx(device);
   ocl::CommandQueue q(ctx);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -98,9 +98,22 @@ void BM_NDRangeLaunch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
+
+void BM_NDRangeLaunch(benchmark::State& state) {
+  // Tiny kernel: the launch cost (validation + partition + dispatch)
+  // dominates; this is the per-launch constant the Fig 1/3 effects sit on.
+  ndrange_launch_loop(state, 2);
+}
 // 1 << 20 is mclbench suite_default's Square size. Its NULL local resolves
 // to 4096-item groups (256 of them); 4096 itself keeps 64-item groups.
 BENCHMARK(BM_NDRangeLaunch)->Arg(64)->Arg(4096)->Arg(262144)->Arg(1 << 20);
+
+void BM_NDRangeLaunchOneWorker(benchmark::State& state) {
+  // The same launch on a one-worker pool: the floor a launch whose work is
+  // too light to share (the width rule's width 1) should reach.
+  ndrange_launch_loop(state, 1);
+}
+BENCHMARK(BM_NDRangeLaunchOneWorker)->Arg(4096);
 
 /// An n x n x n product bound to one of the Matrixmul kernels (args 0..5).
 struct MatmulSetup {

@@ -1,9 +1,11 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include "core/error.hpp"
 #include "core/sysinfo.hpp"
@@ -87,6 +89,94 @@ prof::LaunchMeta launch_meta(const KernelDef& def,
   return meta;
 }
 
+/// Work that pays for one participant of a pooled launch: about what a
+/// sleeping worker takes to wake and start (~8 us, `queue.pool_wait_us` in
+/// mclbench's `launch_small` ladder). Measured on a 4-vCPU Xeon @ 2.1 GHz
+/// (4 workers, Square at forced widths): one thread was fastest up to ~8 us
+/// of work (32768 items), two at ~16 us (65536), three at ~25 us (100000).
+constexpr double kGrainSeconds = 8e-6;
+
+/// A launch shape: the kernel and the global and (resolved) local sizes.
+struct ShapeKey {
+  const KernelDef* def = nullptr;
+  NDRange global;
+  NDRange local;
+  bool operator==(const ShapeKey&) const = default;
+};
+
+struct ShapeKeyHash {
+  std::size_t operator()(const ShapeKey& key) const noexcept {
+    std::size_t h = std::hash<const void*>{}(key.def);
+    for (const NDRange* r : {&key.global, &key.local}) {
+      for (std::size_t d = 0; d < 3; ++d) {
+        h = h * 1000003u ^ r->size[d];
+      }
+    }
+    return h;
+  }
+};
+
+/// The smallest work (RunStats::busy_seconds, seconds x participants for
+/// participants busy throughout) measured so far per launch shape: the CPU
+/// time a launch of that shape needs, with as little claim and contention
+/// overhead as any run showed. Busy time rather than wall time x
+/// participants, because the wall time of a light launch at width k > 1
+/// carries the ~4 us it takes to wake k - 1 workers: a 4096-item launch
+/// with ~4 us of work, measured at width 2, read 8-15 us and so never
+/// earned width 1. Shared by the device and its sub-devices, so guarded by
+/// its own mutex rather than a launch mutex.
+class WidthTable {
+ public:
+  /// Participants (the caller included) for the next launch of `key`:
+  /// `full` for a shape not yet measured, else one per kGrainSeconds of
+  /// cost, clamped to [1, full].
+  std::size_t width(const ShapeKey& key, std::size_t full) {
+    std::lock_guard lock(mutex_);
+    const auto it = min_cost_.find(key);
+    if (it == min_cost_.end()) return full;
+    const double grains = std::ceil(it->second / kGrainSeconds);
+    return std::clamp<std::size_t>(static_cast<std::size_t>(grains), 1, full);
+  }
+
+  void record(const ShapeKey& key, double cost) {
+    std::lock_guard lock(mutex_);
+    // A fuzzer or sweep can launch unboundedly many shapes; forgetting them
+    // all only sends each back to full width for one launch.
+    if (min_cost_.size() >= kMaxShapes && !min_cost_.contains(key)) {
+      min_cost_.clear();
+    }
+    const auto [it, inserted] = min_cost_.try_emplace(key, cost);
+    if (!inserted) it->second = std::min(it->second, cost);
+  }
+
+ private:
+  static constexpr std::size_t kMaxShapes = 4096;
+  std::mutex mutex_;
+  std::unordered_map<ShapeKey, double, ShapeKeyHash> min_cost_;
+};
+
+/// Runs fn(begin, end) over [0, count) at `width` participants: the caller
+/// alone for width 1 (no batch, lock or wake), else the caller plus the
+/// first width - 1 workers of `span`.
+template <class RangeBody>
+threading::RunStats run_at_width(threading::ThreadPool& pool,
+                                 threading::WorkerSpan span, std::size_t width,
+                                 std::size_t count, const RangeBody& fn,
+                                 std::size_t chunk,
+                                 threading::ScheduleStrategy scheduler) {
+  if (width <= 1) {
+    const core::TimePoint t0 = core::now();
+    fn(std::size_t{0}, count);
+    return {.width = 1,
+            .participants = 1,
+            .max_per_participant = count,
+            .imbalance = 1.0,
+            .busy_seconds = core::elapsed_s(t0, core::now())};
+  }
+  return pool.parallel_ranges_on({span.begin, span.begin + width - 1}, count,
+                                 fn, chunk, scheduler);
+}
+
 }  // namespace
 
 struct CpuDevice::Impl {
@@ -97,6 +187,7 @@ struct CpuDevice::Impl {
   // supports one batch at a time, and the device models a single in-order
   // execution engine (multiple CommandQueues may share it).
   std::mutex launch_mutex;
+  WidthTable widths;
 };
 
 CpuDevice::CpuDevice(CpuDeviceConfig config)
@@ -117,8 +208,7 @@ LaunchResult CpuDevice::launch(const KernelDef& def, const KernelArgs& args,
                                const NDRange& global, const NDRange& local,
                                const NDRange& offset) {
   return launch_core(def, args, global, local, offset,
-                     {0, impl_->pool.thread_count()},
-                     impl_->pool.thread_count(), impl_->launch_mutex);
+                     {0, impl_->pool.thread_count()}, impl_->launch_mutex);
 }
 
 int CpuDevice::pool_worker_index() const noexcept {
@@ -176,7 +266,7 @@ LaunchResult CpuSubDevice::launch(const KernelDef& def, const KernelArgs& args,
                                   const NDRange& global, const NDRange& local,
                                   const NDRange& offset) {
   return parent_->launch_core(def, args, global, local, offset, span_,
-                              span_.size(), launch_mutex_);
+                              launch_mutex_);
 }
 
 LaunchResult CpuDevice::launch_core(const KernelDef& def,
@@ -184,9 +274,7 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
                                     const NDRange& global, const NDRange& local,
                                     const NDRange& offset,
                                     threading::WorkerSpan span,
-                                    std::size_t threads,
                                     std::mutex& launch_mutex) {
-  threads = std::max<std::size_t>(threads, 1);
   // NULL local resolves here, once, for every path below (Checked,
   // dispatch_order, pooled); only the tuner may still replace it.
   const bool has_local_args = args.total_local_bytes() > 0;
@@ -239,8 +327,9 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
   std::optional<tune::Decision> tuned;
   if (tune::enabled() && config_.executor == ExecutorKind::Auto &&
       !config_.dispatch_order) {
-    tuned = tune::Tuner::instance().decide(def, global, local, has_local_args,
-                                           threads);
+    tuned = tune::Tuner::instance().decide(
+        def, global, local, has_local_args,
+        std::max<std::size_t>(span.size(), 1));
     if (tuned) {
       exec_kind = tuned->config.executor;
       // The tuner keys entries on has_local_args, so a local override can
@@ -281,25 +370,29 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
     return result;
   }
 
-  // Workgroups are claimed in chunks (as TBB-based runtimes do) and each
-  // claimed chunk runs as one GroupRunner range, so the shared-counter cost
-  // and the per-group setup both amortize; per-item costs remain.
-  // `threads` is the shard width: sub-device launches size their chunks for
-  // the shard, not the whole pool.
-  const std::size_t chunk = std::clamp<std::size_t>(
-      runner.total_groups() / (threads * chunk_divisor), 1, 64);
   // Real dispatch extent; diverges from total_groups() only under the
   // MCL_CHECK_INJECT=chunker fault (drops the last group when there are
   // at least two) so mclcheck's catch-and-minimize path can be exercised.
   std::size_t dispatch_groups = runner.total_groups();
   if (dispatch_groups > 1 && inject_chunker_bug()) --dispatch_groups;
+  // Width rule: as many participants as the shape's measured work pays for,
+  // never more than it has groups. Every branch below dispatches at it.
+  const ShapeKey shape{&def, global, runner.local()};
+  const std::size_t width =
+      std::min(impl_->widths.width(shape, span.size() + 1), dispatch_groups);
+  // Workgroups are claimed in chunks (as TBB-based runtimes do) and each
+  // claimed chunk runs as one GroupRunner range, so the shared-counter cost
+  // and the per-group setup both amortize; per-item costs remain. Chunks
+  // are sized for the participants that run the launch.
+  const std::size_t chunk = std::clamp<std::size_t>(
+      runner.total_groups() / (width * chunk_divisor), 1, 64);
 
   std::lock_guard launch_lock(launch_mutex);
   prof::LaunchAcc acc;
   const core::TimePoint t0 = core::now();
   if (!trace::enabled() && !prof::profiling()) {
-    result.schedule = impl_->pool.parallel_ranges_on(
-        span, dispatch_groups,
+    result.schedule = run_at_width(
+        impl_->pool, span, width, dispatch_groups,
         [&runner](std::size_t begin, std::size_t end) {
           runner.run_groups(begin, end);
         },
@@ -322,22 +415,26 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
     const std::uint64_t ctx = trace::current_context();
     trace::ScopedSpan launch_span(
         trace::enabled() ? trace::intern("launch:" + def.name) : nullptr,
-        "groups,threads", runner.total_groups(), threads);
-    result.schedule = impl_->pool.parallel_run_on(
-        span, dispatch_groups,
-        [&runner, wg_name, est_bytes, accp, ctx](std::size_t g) {
-          trace::ContextScope cscope(ctx);
-          trace::ScopedSpan span(wg_name, "group,worker,est_bytes", g,
-                                 wg_name != nullptr
-                                     ? trace::current_thread_id()
-                                     : 0,
-                                 est_bytes);
-          prof::GroupScope hw(accp);
-          runner.run_groups(g, g + 1);
+        "groups,width", runner.total_groups(), width);
+    const auto run_group = [&runner, wg_name, est_bytes, accp,
+                            ctx](std::size_t g) {
+      trace::ContextScope cscope(ctx);
+      trace::ScopedSpan span(wg_name, "group,worker,est_bytes", g,
+                             wg_name != nullptr ? trace::current_thread_id()
+                                                : 0,
+                             est_bytes);
+      prof::GroupScope hw(accp);
+      runner.run_groups(g, g + 1);
+    };
+    result.schedule = run_at_width(
+        impl_->pool, span, width, dispatch_groups,
+        [&run_group](std::size_t begin, std::size_t end) {
+          for (std::size_t g = begin; g < end; ++g) run_group(g);
         },
         chunk, scheduler);
   }
   result.seconds = core::elapsed_s(t0, core::now());
+  impl_->widths.record(shape, result.schedule.busy_seconds);
   if (tuned) tune::Tuner::instance().report(*tuned, result.seconds);
   if (prof::profiling()) {
     result.profile = prof::commit_launch(

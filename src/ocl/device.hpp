@@ -141,16 +141,17 @@ class CpuDevice final : public Device {
  private:
   friend class CpuSubDevice;
 
-  /// Shared launch body: runs the NDRange on the workers of `span` (plus the
-  /// calling thread), serialized by `launch_mutex` (the parent and each
-  /// sub-device carry their own — sibling shards must not serialize against
-  /// each other). `threads` is the shard width the tuner keys entries on and
-  /// the chunker divides by: the SUB-device size for sharded launches, never
-  /// the parent pool size.
+  /// Shared launch body: runs the NDRange on the calling thread plus as
+  /// many leading workers of `span` as its measured work pays for (the
+  /// width rule, docs/runtime.md), serialized by `launch_mutex` (the parent
+  /// and each sub-device carry their own — sibling shards must not
+  /// serialize against each other). The tuner keys entries on the span's
+  /// size: the SUB-device size for sharded launches, never the parent pool
+  /// size.
   LaunchResult launch_core(const KernelDef& def, const KernelArgs& args,
                            const NDRange& global, const NDRange& local,
                            const NDRange& offset, threading::WorkerSpan span,
-                           std::size_t threads, std::mutex& launch_mutex);
+                           std::mutex& launch_mutex);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -1,8 +1,14 @@
 #include "threading/thread_pool.hpp"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <climits>
 
+#include "core/time.hpp"
 #include "prof/metrics.hpp"
 #include "threading/affinity.hpp"
 #include "trace/trace.hpp"
@@ -49,11 +55,29 @@ class OccupancyScope {
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 thread_local int tl_worker_index = -1;
 
+// A wake names workers by bit, so the kernel wakes exactly those sleepers
+// in one call, where a condition variable per worker costs a call each.
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
+
+std::uint32_t worker_bit(std::size_t worker) {
+  return 1u << (worker % 32);
+}
+
+std::uint32_t* futex_word(std::atomic<std::uint32_t>& word) {
+  return reinterpret_cast<std::uint32_t*>(&word);
+}
+
 }  // namespace
+
+void ThreadPool::wake(std::uint32_t mask) noexcept {
+  if (mask == 0) return;
+  syscall(SYS_futex, futex_word(wake_seq_), FUTEX_WAKE_BITSET_PRIVATE,
+          INT_MAX, nullptr, nullptr, mask);
+}
 
 ThreadPool::ThreadPool(std::size_t threads, bool pin) {
   if (threads == 0) threads = static_cast<std::size_t>(logical_cpu_count());
-  worker_batch_.resize(threads);
+  worker_state_ = std::make_unique<WorkerState[]>(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i, pin] { worker_loop(i, pin); });
@@ -68,19 +92,32 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
     stop_ = true;
+    wake_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  cv_.notify_all();
+  wake(~0u);
   for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
   MCL_PROF_COUNT("pool.tasks", 1);
+  std::uint32_t mask = 0;
   {
     std::lock_guard lock(mutex_);
     tasks_.push_back(std::move(task));
     ++in_flight_;
+    wake_seq_.fetch_add(1, std::memory_order_relaxed);
+    // Wake one sleeper and mark it claimed, so a second submit() before it
+    // runs wakes another. With none asleep, a busy worker takes the task
+    // when it next checks its wait predicate.
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      if (worker_state_[i].sleeping) {
+        worker_state_[i].sleeping = false;
+        mask = worker_bit(i);
+        break;
+      }
+    }
   }
-  cv_.notify_one();
+  wake(mask);
 }
 
 namespace {
@@ -107,7 +144,7 @@ ThreadPool::Range ThreadPool::claim(Batch& batch, std::size_t slot,
   }
   // The owner's front claim and a thief's steal both CAS the slot word, so
   // no index is ever claimed twice.
-  std::atomic<std::uint64_t>& own = batch.slots[slot];
+  std::atomic<std::uint64_t>& own = batch.slots[slot].range;
   for (;;) {
     std::uint64_t cur = own.load(std::memory_order_acquire);
     for (;;) {
@@ -129,7 +166,8 @@ bool ThreadPool::steal_into(Batch& batch, std::size_t slot) {
   const std::size_t nslots = batch.slots.size();
   for (std::size_t v = 1; v < nslots; ++v) {
     const std::size_t victim = (slot + v) % nslots;
-    std::uint64_t cur = batch.slots[victim].load(std::memory_order_acquire);
+    std::atomic<std::uint64_t>& theirs = batch.slots[victim].range;
+    std::uint64_t cur = theirs.load(std::memory_order_acquire);
     for (;;) {
       const std::uint32_t n = range_next(cur);
       const std::uint32_t e = range_end(cur);
@@ -143,11 +181,12 @@ bool ThreadPool::steal_into(Batch& batch, std::size_t slot) {
           left >= 2 * batch.chunk ? left - left / 2
                                   : std::min(batch.chunk, left));
       const std::uint32_t mid = e - take;
-      if (batch.slots[victim].compare_exchange_weak(
-              cur, pack_range(n, mid), std::memory_order_acq_rel)) {
+      if (theirs.compare_exchange_weak(cur, pack_range(n, mid),
+                                       std::memory_order_acq_rel)) {
         // Our slot is empty, and thieves never write an empty slot, so a
         // plain store cannot lose a concurrent claim.
-        batch.slots[slot].store(pack_range(mid, e), std::memory_order_release);
+        batch.slots[slot].range.store(pack_range(mid, e),
+                                      std::memory_order_release);
         MCL_TRACE_INSTANT("pool.steal", "victim,thief,taken", victim, slot,
                           take);
         return true;
@@ -158,17 +197,19 @@ bool ThreadPool::steal_into(Batch& batch, std::size_t slot) {
 }
 
 void ThreadPool::drain_batch(Batch& batch, std::size_t slot, Range first) {
+  if (first.empty()) return;
   OccupancyScope occupancy;
   MCL_TRACE_SCOPE("pool.drain");
+  const std::uint64_t t0 = core::steady_now_ns();
   std::size_t executed = 0;
   for (Range r = first; !r.empty(); r = claim(batch, slot, true)) {
     (*batch.fn)(r.begin, r.end);
     executed += r.end - r.begin;
   }
-  if (executed > 0) {
-    batch.executed[slot].fetch_add(executed, std::memory_order_relaxed);
-    batch.done.fetch_add(executed, std::memory_order_acq_rel);
-  }
+  Slot& own = batch.slots[slot];
+  own.busy_ns.store(core::steady_now_ns() - t0, std::memory_order_relaxed);
+  own.executed.store(executed, std::memory_order_relaxed);
+  batch.done.fetch_add(executed, std::memory_order_acq_rel);
 }
 
 RunStats ThreadPool::parallel_run(std::size_t count, const IndexFn& fn,
@@ -203,24 +244,21 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
   batch->span_begin = span.begin;
   batch->fn = &fn;
   batch->strategy = strategy;
-  batch->executed =
-      std::vector<std::atomic<std::size_t>>(span.size() + 1);
-  if (strategy == ScheduleStrategy::WorkStealing) {
-    // count must fit the packed 32-bit ranges.
-    if (count >= (1ull << 32)) {
-      batch->strategy = ScheduleStrategy::CentralCounter;
-    } else {
-      const std::size_t nslots = span.size() + 1;  // span workers + caller
-      batch->slots = std::vector<std::atomic<std::uint64_t>>(nslots);
-      const std::size_t per = count / nslots;
-      const std::size_t extra = count % nslots;
-      std::size_t begin = 0;
-      for (std::size_t s = 0; s < nslots; ++s) {
-        const std::size_t len = per + (s < extra ? 1 : 0);
-        batch->slots[s].store(pack_range(begin, begin + len),
-                              std::memory_order_relaxed);
-        begin += len;
-      }
+  const std::size_t nslots = span.size() + 1;  // span workers + caller
+  batch->slots = std::vector<Slot>(nslots);
+  // WorkStealing's count must fit the packed 32-bit ranges.
+  if (strategy == ScheduleStrategy::WorkStealing && count >= (1ull << 32)) {
+    batch->strategy = ScheduleStrategy::CentralCounter;
+  }
+  if (batch->strategy == ScheduleStrategy::WorkStealing) {
+    const std::size_t per = count / nslots;
+    const std::size_t extra = count % nslots;
+    std::size_t begin = 0;
+    for (std::size_t s = 0; s < nslots; ++s) {
+      const std::size_t len = per + (s < extra ? 1 : 0);
+      batch->slots[s].range.store(pack_range(begin, begin + len),
+                                  std::memory_order_relaxed);
+      begin += len;
     }
   }
 
@@ -232,13 +270,20 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
   // holding mutex_, so storing + notifying without it can land exactly
   // between the predicate check and the sleep — the worker misses the batch
   // and the caller silently does all the work alone (lost wakeup).
+  std::uint32_t mask = 0;
   {
     std::lock_guard lock(mutex_);
     for (std::size_t i = span.begin; i < span.end; ++i) {
-      worker_batch_[i] = batch;
+      worker_state_[i].batch = batch;
+      if (worker_state_[i].sleeping) {
+        worker_state_[i].sleeping = false;
+        mask |= worker_bit(i);
+      }
     }
+    wake_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  cv_.notify_all();
+  // Woken after unlocking, so a woken worker does not block on mutex_.
+  wake(mask);
   drain_batch(*batch, 0, first);  // the calling thread participates
 
   std::size_t spins = 0;
@@ -252,16 +297,20 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
   {
     std::lock_guard lock(mutex_);
     for (std::size_t i = span.begin; i < span.end; ++i) {
-      if (worker_batch_[i] == batch) worker_batch_[i].reset();
+      if (worker_state_[i].batch == batch) worker_state_[i].batch.reset();
     }
   }
 
   RunStats stats;
+  stats.width = nslots;
   std::size_t total = 0;
-  for (const auto& e : batch->executed) {
-    const std::size_t v = e.load(std::memory_order_relaxed);
+  for (const Slot& slot : batch->slots) {
+    const std::size_t v = slot.executed.load(std::memory_order_relaxed);
     if (v == 0) continue;
     ++stats.participants;
+    stats.busy_seconds +=
+        static_cast<double>(slot.busy_ns.load(std::memory_order_relaxed)) *
+        1e-9;
     total += v;
     stats.max_per_participant = std::max(stats.max_per_participant, v);
   }
@@ -284,20 +333,30 @@ void ThreadPool::worker_loop(std::size_t worker_index, bool pin) {
   }
   tl_worker_pool = this;
   tl_worker_index = static_cast<int>(worker_index);
+  WorkerState& self = worker_state_[worker_index];
   for (;;) {
     std::shared_ptr<Batch> batch;
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this, worker_index] {
-        return stop_ || !tasks_.empty() || worker_batch_[worker_index];
-      });
-      if (worker_batch_[worker_index]) {
-        // Take the batch published to our slot. Our reference keeps it
-        // alive even if the producer finishes and releases it while we
-        // drain; a drain of an already-exhausted batch is a no-op (fn is
-        // only called after a successful index claim).
-        batch = std::move(worker_batch_[worker_index]);
+      while (!stop_ && tasks_.empty() && !self.batch) {
+        // Publishers bump wake_seq_ under mutex_, so a publish between the
+        // unlock and the sleep makes the sleep return at once.
+        const std::uint32_t seq = wake_seq_.load(std::memory_order_relaxed);
+        self.sleeping = true;
+        lock.unlock();
+        syscall(SYS_futex, futex_word(wake_seq_), FUTEX_WAIT_BITSET_PRIVATE,
+                seq, nullptr, nullptr, worker_bit(worker_index));
+        lock.lock();
+        self.sleeping = false;
+        MCL_PROF_COUNT("pool.wakes", 1);
+      }
+      if (self.batch) {
+        // Take the batch published to us. Our reference keeps it alive
+        // even if the producer finishes and releases it while we drain; a
+        // drain of an already-exhausted batch is a no-op (fn is only
+        // called after a successful index claim).
+        batch = std::move(self.batch);
       } else if (stop_ && tasks_.empty()) {
         return;
       } else {

@@ -52,10 +52,17 @@ inline constexpr ScheduleStrategy kDefaultSchedule =
 
 /// Per-batch execution statistics (load balance across participants).
 struct RunStats {
+  /// Threads the batch was offered to: the caller plus its span's workers.
+  std::size_t width = 0;
   std::size_t participants = 0;  ///< threads that executed >= 1 index
   std::size_t max_per_participant = 0;
   /// max / mean over participating threads; 1.0 = perfectly balanced.
   double imbalance = 1.0;
+  /// The batch's measured work: the time each participant spent from its
+  /// first claim to the end of its last range, summed. Equals seconds x
+  /// participants when every participant is busy for the whole batch, and
+  /// leaves out what a late or idle one spent waking.
+  double busy_seconds = 0.0;
 };
 
 /// Half-open range [begin, end) of worker indices — the unit of pool
@@ -103,6 +110,7 @@ class ThreadPool {
   /// own slot's start, and a participant whose slot thieves emptied before
   /// it arrived runs nothing. The calling thread always participates and
   /// guarantees completion even if every spanned worker is busy elsewhere.
+  /// Only the workers of `span` are woken; the rest keep sleeping.
   /// Concurrent calls on disjoint spans proceed in parallel with disjoint
   /// worker sets — the sub-device sharding substrate. Concurrent calls on
   /// overlapping spans are safe but contend: a worker helps one batch at a
@@ -141,6 +149,19 @@ class ThreadPool {
     [[nodiscard]] bool empty() const noexcept { return begin == end; }
   };
 
+  /// One participant's share of a batch. Slots cover only the batch's span
+  /// workers plus the caller, so steals stay inside the shard by
+  /// construction.
+  struct Slot {
+    // WorkStealing's packed range (next:32 | end:32). Only the slot's owner
+    // advances `next`; thieves only lower `end`.
+    std::atomic<std::uint64_t> range{0};
+    // Indices the slot's owner executed and the nanoseconds it spent on
+    // them, written before it adds to `done`.
+    std::atomic<std::size_t> executed{0};
+    std::atomic<std::uint64_t> busy_ns{0};
+  };
+
   struct Batch {
     std::atomic<std::size_t> next{0};  // CentralCounter's shared counter
     std::atomic<std::size_t> done{0};
@@ -149,15 +170,23 @@ class ThreadPool {
     std::size_t span_begin = 0;  // worker i owns slot i - span_begin + 1
     const RangeFn* fn = nullptr;
     ScheduleStrategy strategy = kDefaultSchedule;
-    // WorkStealing state: per-slot packed ranges (next:32 | end:32). Slots
-    // cover only the batch's span workers plus the caller, so steals stay
-    // inside the shard by construction. Only a slot's owner advances its
-    // `next`; thieves only lower its `end`.
-    std::vector<std::atomic<std::uint64_t>> slots;
-    // Indices executed per slot (span workers + caller), each written by
-    // its slot's owner before it adds to `done`.
-    std::vector<std::atomic<std::size_t>> executed;
+    std::vector<Slot> slots;
   };
+
+  /// A worker's wake state, guarded by mutex_.
+  struct WorkerState {
+    /// Pending batch: the worker reads it in its wait predicate, so a store
+    /// outside the lock could land between the predicate check and the
+    /// sleep and lose the wakeup. A worker takes (and so clears) only its
+    /// own batch, then drains it without the lock; disjoint spans therefore
+    /// run concurrently without sharing any scheduling state.
+    std::shared_ptr<Batch> batch;
+    /// Asleep on wake_seq_ and not yet claimed by a wake.
+    bool sleeping = false;
+  };
+
+  /// Wakes the workers whose bits are set in `mask`, in one system call.
+  void wake(std::uint32_t mask) noexcept;
 
   /// Claims the next range for the owner of `slot`: a counter pop, or the
   /// front chunk of the slot's range, refilled by a steal when it is empty
@@ -171,18 +200,16 @@ class ThreadPool {
   void worker_loop(std::size_t worker_index, bool pin);
 
   std::vector<std::thread> workers_;
+  std::unique_ptr<WorkerState[]> worker_state_;
   std::deque<std::function<void()>> tasks_;
   std::mutex mutex_;
-  std::condition_variable cv_;
+  /// Workers sleep on this word, each on its own bit (worker i on bit
+  /// i % 32), so one wake names exactly the workers a batch uses. Every
+  /// publish of work bumps it under mutex_, so a worker between its
+  /// predicate check and its sleep does not sleep through the publish.
+  std::atomic<std::uint32_t> wake_seq_{0};
   std::condition_variable idle_cv_;
   std::size_t in_flight_ = 0;
-  /// Per-worker pending batch slot, guarded by mutex_: the workers read it
-  /// in their cv wait predicate, so a store outside the lock could land
-  /// between the predicate check and the sleep and lose the wakeup. A worker
-  /// takes (and so clears) only its own slot, then drains the batch without
-  /// the lock; disjoint spans therefore run concurrently without sharing
-  /// any scheduling state.
-  std::vector<std::shared_ptr<Batch>> worker_batch_;
   bool stop_ = false;
 };
 

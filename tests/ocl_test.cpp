@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -9,6 +10,19 @@
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
 #include "simd/vec.hpp"
+
+// Launch widths follow measured time, which ASan inflates; tests skip the
+// expectations that depend on absolute speed there.
+#if defined(__SANITIZE_ADDRESS__)
+#define MCL_UNDER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MCL_UNDER_ASAN 1
+#endif
+#endif
+#ifndef MCL_UNDER_ASAN
+#define MCL_UNDER_ASAN 0
+#endif
 
 namespace mcl::ocl {
 namespace {
@@ -530,6 +544,112 @@ TEST(Launch, PinnedExtensionRunsAllGroups) {
   std::vector<int> bad(3, 0);
   EXPECT_THROW((void)q.enqueue_ndrange_pinned(k, NDRange{n}, NDRange{l}, bad),
                core::Error);
+}
+
+// ----- launch width ----------------------------------------------------------
+
+/// The device whose pool the where_* kernels report worker indices of.
+const CpuDevice* g_where_device = nullptr;
+
+/// out[i] = in[i]^2, like the builtin square, and where[i] = the pool worker
+/// that ran item i (-1 for the launching thread).
+void where_square_scalar(const KernelArgs& a, const WorkItemCtx& c) {
+  const std::size_t i = c.global_id(0);
+  const float x = a.buffer<const float>(0)[i];
+  a.buffer<float>(1)[i] = x * x;
+  a.buffer<int>(2)[i] = g_where_device->pool_worker_index();
+}
+void where_square_simd(const KernelArgs& a, const SimdItemCtx& c) {
+  using V = simd::vfloatn;
+  const int worker = g_where_device->pool_worker_index();
+  c.for_each_lane_group([&](std::size_t i, std::size_t) {
+    const V x = V::load(a.buffer<const float>(0) + i);
+    (x * x).store(a.buffer<float>(1) + i);
+    std::fill_n(a.buffer<int>(2) + i, V::width, worker);
+  });
+}
+const KernelRegistrar reg_where_square{{.name = "test_where_square",
+                                        .scalar = &where_square_scalar,
+                                        .simd = &where_square_simd}};
+
+/// Thousands of operations per item (the sub-device suite's
+/// subdev_record_worker body): every participant pays for its wake.
+void where_heavy(const KernelArgs& a, const WorkItemCtx& c) {
+  volatile int sink = 0;
+  for (int i = 0; i < 4000; ++i) sink = sink + i;
+  a.buffer<int>(2)[c.global_id(0)] = g_where_device->pool_worker_index();
+}
+const KernelRegistrar reg_where_heavy{
+    {.name = "test_where_heavy", .scalar = &where_heavy}};
+
+TEST(Launch, WidthFollowsWork) {
+  CpuDevice dev(CpuDeviceConfig{.threads = 4});
+  g_where_device = &dev;
+  const std::size_t full = 5;  // 4 workers + the launching thread
+  constexpr std::size_t n = 4096;
+  std::vector<float> in(n, 1.5f);
+  Buffer bin(MemFlags::ReadOnly | MemFlags::UseHostPtr, n * 4, in.data());
+  Buffer bout(MemFlags::ReadWrite, n * 4);
+  Buffer bwhere(MemFlags::ReadWrite, n * 4);
+  KernelArgs args;
+  args.set_buffer(0, bin);
+  args.set_buffer(1, bout);
+  args.set_buffer(2, bwhere);
+  const KernelDef& square = Program::builtin().lookup("test_where_square");
+  const KernelDef& heavy = Program::builtin().lookup("test_where_heavy");
+  const auto launch = [&](Device& on, const KernelDef& def) {
+    std::fill_n(bwhere.as<int>(), n, -2);
+    LaunchResult r = on.launch(def, args, NDRange{n}, NDRange{});
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NE(bwhere.as<const int>()[i], -2) << "item " << i << " skipped";
+    }
+    return r;
+  };
+
+  // A new shape starts at full width; the measured cost then narrows a
+  // light one within a few launches.
+  EXPECT_EQ(launch(dev, heavy).schedule.width, full);
+  EXPECT_EQ(launch(dev, square).schedule.width, full);
+  for (int rep = 0; rep < 50; ++rep) {
+    (void)launch(dev, square);
+    (void)launch(dev, heavy);
+  }
+
+  for (int rep = 0; rep < 200; ++rep) {
+    const LaunchResult light = launch(dev, square);
+    EXPECT_EQ(bout.as<const float>()[n - 1], 2.25f);
+    // A few us of work: one participant, and no item leaves the caller.
+    // ASan multiplies the work, and the width follows it.
+    if (!MCL_UNDER_ASAN) {
+      ASSERT_EQ(light.schedule.width, 1u) << "repeat " << rep;
+      EXPECT_EQ(light.schedule.participants, 1u);
+      EXPECT_EQ(light.schedule.max_per_participant,
+                n / light.local_used.total());
+      EXPECT_EQ(light.schedule.imbalance, 1.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bwhere.as<const int>()[i], -1) << "item " << i;
+      }
+    }
+    // Milliseconds of work: every participant pays for its wake.
+    ASSERT_EQ(launch(dev, heavy).schedule.width, full) << "repeat " << rep;
+  }
+
+  // A sub-device launch offers work to its own span's workers only.
+  auto subs = dev.partition_equally(2);
+  ASSERT_EQ(subs.size(), 2u);
+  for (const auto& sub : subs) {
+    const threading::WorkerSpan span = sub->span();
+    for (int rep = 0; rep < 20; ++rep) {
+      const LaunchResult r = launch(*sub, heavy);
+      EXPECT_LE(r.schedule.width, span.size() + 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        const int w = bwhere.as<const int>()[i];
+        if (w < 0) continue;  // the launching thread
+        ASSERT_TRUE(span.contains(static_cast<std::size_t>(w))) << w;
+      }
+    }
+  }
+  g_where_device = nullptr;
 }
 
 // ----- queue transfers ---------------------------------------------------------

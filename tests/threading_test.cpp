@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "prof/metrics.hpp"
 #include "threading/affinity.hpp"
 #include "threading/barrier.hpp"
 #include "threading/fiber.hpp"
@@ -155,6 +156,40 @@ TEST(ThreadPool, SmallBatchesWakeSleepingWorkers) {
   // Allow a little scheduler noise, but sleeping through batches must not
   // be a steady-state behavior.
   EXPECT_GE(multi, kRounds * 9 / 10);
+}
+
+/// The `pool.wakes` counter in a metrics snapshot.
+std::uint64_t pool_wakes() {
+  for (const auto& c : prof::snapshot().counters) {
+    if (c.name == "pool.wakes") return c.value;
+  }
+  return 0;
+}
+
+TEST(ThreadPool, BatchWakesOnlyItsWorkers) {
+  // A batch wakes the workers of its span and no others: 100 width-2
+  // batches (the caller plus worker 0) on a 4-worker pool wake about 100
+  // worker-times. Waking every sleeper would read about 400.
+  struct MetricsOn {
+    MetricsOn() {
+      prof::reset();
+      prof::set_enabled(true);
+    }
+    ~MetricsOn() { prof::set_enabled(false); }
+  } metrics;
+  ThreadPool pool(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t before = pool_wakes();
+  constexpr int kBatches = 100;
+  for (int round = 0; round < kBatches; ++round) {
+    pool.parallel_ranges_on({0, 1}, 2, [](std::size_t, std::size_t) {});
+    // Long enough for worker 0 to go back to sleep.
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t wakes = pool_wakes() - before;
+  EXPECT_GE(wakes, kBatches / 2);
+  EXPECT_LE(wakes, kBatches * 3 / 2);
 }
 
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
