@@ -2,10 +2,13 @@
  * semantics, plus the OpenCL 1.2 device-fission trio clCreateSubDevices /
  * clRetainDevice / clReleaseDevice).
  *
- * Unmodified OpenCL 1.1 host programs compile against this header and link
- * against the MiniCL runtime: the entry points are a thin C shim
- * (src/ocl/cl_shim.cpp) over the same C++ runtime behind mcl.h. One
- * deliberate deviation: MiniCL has no OpenCL C compiler — kernels are
+ * This is MiniCL's one C API. Unmodified OpenCL 1.1 host programs compile
+ * against this header and link against the MiniCL runtime: the entry points
+ * are a thin C shim (src/ocl/cl_shim.cpp) over the C++ runtime. Runtime
+ * features with no Khronos counterpart are MCL-suffixed vendor extensions
+ * in <CL/cl_ext_mcl.h>.
+ *
+ * One deliberate deviation: MiniCL has no OpenCL C compiler — kernels are
  * pre-registered native bodies — so clBuildProgram *binds* the __kernel
  * names found in the source text against the registered kernel-descriptor
  * table, and fails with CL_BUILD_PROGRAM_FAILURE (and a build log naming the

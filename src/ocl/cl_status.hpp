@@ -1,12 +1,11 @@
 // Shared Status -> OpenCL error-code mapping.
 //
-// Both C surfaces — the mcl C API (capi.cpp, MCL_* codes) and the
-// binary-compatible CL shim (cl_shim.cpp, CL_* codes) — translate runtime
-// Status values through this one table. The MCL_* constants deliberately use
-// the OpenCL numeric values, so a single function serves both; the CL
-// error-matrix test (tests/cl_errors_test.cpp) cross-checks its expectations
-// against this function, which is what keeps the shim's returns, the mcl
-// API's returns, and the test table from drifting apart.
+// The C API — the binary-compatible CL shim (cl_shim.cpp) and its
+// cl_ext_mcl.h extensions — translates runtime Status values to CL_* codes
+// through this one table. The CL error-matrix test
+// (tests/cl_errors_test.cpp) cross-checks its expectations against this
+// function, which is what keeps the shim's returns and the test table from
+// drifting apart.
 #pragma once
 
 #include <cstdint>

@@ -24,6 +24,11 @@ constexpr const char* kCore =
     "cl_errors_test,conformance_hello_opencl,conformance_parallel_min,cl_shim_test";
 constexpr const char* kMatrixHello = "cl_errors_test,conformance_hello_opencl";
 constexpr const char* kMatrixSubdev = "cl_errors_test,subdevice_test";
+// The cl_mcl_runtime extensions (include/CL/cl_ext_mcl.h): the matrix, the
+// shim suite (whose C99 translation unit calls every extension) and the
+// owning subsystem's suite.
+constexpr const char* kExtTrace = "cl_errors_test,cl_shim_test,trace_test";
+constexpr const char* kExtTune = "cl_errors_test,cl_shim_test,tune_test";
 
 // Sorted by name (asserted by the drift-guard test).
 constexpr ClSurfaceEntry kSurface[] = {
@@ -98,10 +103,13 @@ constexpr ClSurfaceEntry kSurface[] = {
      "host-relevant subset incl. partition/parent queries for sub-devices"},
     {"clGetEventInfo", S::Implemented, kMatrixShim,
      "execution status, command type, queue/context, reference count"},
+    {"clGetEventKernelProfileMCL", S::Implemented, kMatrixShim,
+     "extension: per-launch kernel profile of an NDRange event (needs an "
+     "active profiling session)"},
     {"clGetEventProfilingInfo", S::Implemented, kCore,
      "QUEUED/SUBMIT/START/END from the shared steady-clock epoch"},
     {"clGetExtensionFunctionAddress", S::Implemented, kMatrix,
-     "always NULL: no extensions are exported"},
+     "always NULL: the cl_ext_mcl.h extensions link directly"},
     {"clGetImageInfo", S::Unsupported, "", "no image support"},
     {"clGetKernelInfo", S::Implemented, kMatrixShim,
      "function name, reference count, context/program"},
@@ -109,6 +117,8 @@ constexpr ClSurfaceEntry kSurface[] = {
      "work-group size limits and the preferred SIMD multiple per device"},
     {"clGetMemObjectInfo", S::Implemented, kMatrixShim,
      "type/flags/size/map-count/reference-count/context, sub-buffer origin"},
+    {"clGetMetricsSnapshotMCL", S::Implemented, kMatrixShim,
+     "extension: metrics registry snapshot as JSON, truncating copy"},
     {"clGetPlatformIDs", S::Implemented, kCore, "exactly one platform"},
     {"clGetPlatformInfo", S::Implemented, kMatrixHello,
      "profile/version/name/vendor/extensions strings"},
@@ -119,6 +129,9 @@ constexpr ClSurfaceEntry kSurface[] = {
     {"clGetSamplerInfo", S::Unsupported, "", "no sampler support"},
     {"clGetSupportedImageFormats", S::Implemented, kMatrix,
      "reports zero supported formats (no image support)"},
+    {"clGetTunedConfigMCL", S::Implemented, kExtTune,
+     "extension: the tuner's config for a launch shape, keyed on the "
+     "device's compute units (NULL: the default CPU device)"},
     {"clReleaseCommandQueue", S::Implemented, kCore,
      "finishes the queue at the last release"},
     {"clReleaseContext", S::Implemented, kCore,
@@ -143,8 +156,17 @@ constexpr ClSurfaceEntry kSurface[] = {
     {"clSetKernelArg", S::Implemented, kCore,
      "buffers (by live-handle detection), scalars, and NULL local-memory "
      "requests"},
+    {"clSetTuningMCL", S::Implemented, kExtTune,
+     "extension: process-wide tuning mode (off/seed/online), overriding "
+     "MCL_TUNE"},
     {"clSetUserEventStatus", S::Implemented, kMatrixShim,
      "CL_COMPLETE or a negative error, exactly once"},
+    {"clTraceBeginMCL", S::Implemented, kExtTrace,
+     "extension: opens a host span on the mcltrace timeline"},
+    {"clTraceCounterMCL", S::Implemented, kExtTrace,
+     "extension: samples a named value on the mcltrace timeline"},
+    {"clTraceEndMCL", S::Implemented, kExtTrace,
+     "extension: closes the innermost open host span"},
     {"clUnloadCompiler", S::Implemented, kMatrix,
      "no compiler to unload; returns CL_SUCCESS"},
     {"clWaitForEvents", S::Implemented, kMatrixShim,

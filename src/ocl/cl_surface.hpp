@@ -1,12 +1,14 @@
 // CL 1.1 shim surface table.
 //
-// One row per CL entry point, recording its implementation status and the
-// tests that cover it. This single table drives three consumers so none can
-// drift from the shim itself:
+// One row per CL entry point, the MCL-suffixed vendor extensions of
+// include/CL/cl_ext_mcl.h included, recording its implementation status and
+// the tests that cover it. This single table drives three consumers so none
+// can drift from the shim itself:
 //  - the docs matrix in docs/cl_shim.md (reviewed against this table),
 //  - the drift-guard tests in tests/cl_errors_test.cpp (the set of names
-//    declared in include/CL/cl.h must equal the Implemented+Stubbed rows,
-//    and every Implemented row must name at least one covering test),
+//    declared in include/CL/cl.h and include/CL/cl_ext_mcl.h must equal the
+//    Implemented+Stubbed rows, and every Implemented row must name at least
+//    one covering test),
 //  - tools/mclconform, which emits the conformance.json coverage report
 //    that plot_results.py --check validates in tier1 (an Implemented entry
 //    point with no conformance or matrix test fails the gate).
@@ -20,7 +22,7 @@ namespace mcl::ocl {
 enum class ClSurfaceStatus {
   Implemented,  ///< full CL 1.1 semantics over the mcl runtime
   Stubbed,      ///< declared; returns the spec-mandated error, no behavior
-  Unsupported,  ///< intentionally NOT declared in include/CL/cl.h
+  Unsupported,  ///< intentionally NOT declared in any CL header
 };
 
 struct ClSurfaceEntry {

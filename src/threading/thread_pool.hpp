@@ -35,7 +35,7 @@ enum class ScheduleStrategy {
   /// One shared atomic counter; workers pop chunks from it in arrival
   /// order. Every claim contends on one cache line, and a repeated launch
   /// hands each thread different indices than the last one did. Kept as a
-  /// tuner choice (reported by mcl_tuned_config::work_stealing).
+  /// tuner choice.
   CentralCounter,
   /// Per-participant contiguous slices, the same on every launch of the
   /// same count and span; an idle participant steals the upper half of a

@@ -27,8 +27,8 @@
 //      processes skip exploration entirely.
 //
 // Launch-path wiring lives in ocl::CpuDevice::launch behind
-// MCL_TUNE={off,seed,online}; the C API exposes mclSetTuning /
-// mclGetTunedConfig. Decisions surface as "tune.decide:<kernel>" trace
+// MCL_TUNE={off,seed,online}; CL/cl_ext_mcl.h exposes clSetTuningMCL /
+// clGetTunedConfigMCL. Decisions surface as "tune.decide:<kernel>" trace
 // instants and tune.* metrics. See docs/tune.md.
 #pragma once
 
@@ -67,10 +67,6 @@ struct TunedConfig {
   std::size_t chunk_divisor = 16;
   /// Workgroup dispatch order (the paper's scheduling axis).
   threading::ScheduleStrategy scheduler = threading::kDefaultSchedule;
-  /// Transfer-plan advice: map/unmap instead of explicit copies. Advisory —
-  /// the launch path does not move data; benches and mclGetTunedConfig
-  /// consume it (on the CPU mapping is zero-copy, paper Fig 7/8).
-  bool prefer_map = true;
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -199,7 +195,7 @@ class Tuner {
 
   /// The current best config for a launch shape without recording a
   /// decision: the incumbent when an entry exists, else the seed ranking's
-  /// top candidate. Works in every mode (pure query; mclGetTunedConfig).
+  /// top candidate. Works in every mode (pure query; clGetTunedConfigMCL).
   [[nodiscard]] std::optional<TunedConfig> tuned_config(
       const ocl::KernelDef& def, const ocl::NDRange& global,
       const ocl::NDRange& local, bool has_local_args, std::size_t threads);

@@ -213,8 +213,7 @@ std::string TunedConfig::to_string() const {
   }
   out << " chunk_div=" << chunk_divisor << " sched="
       << (scheduler == threading::ScheduleStrategy::CentralCounter ? "central"
-                                                                   : "steal")
-      << " map=" << (prefer_map ? 1 : 0);
+                                                                   : "steal");
   return out.str();
 }
 
@@ -301,10 +300,6 @@ std::vector<TunedConfig> enumerate_candidates(const ocl::KernelDef& def,
   if (groups_est >= threads * 2) {
     scheds.push_back(threading::ScheduleStrategy::CentralCounter);
   }
-  // Map-vs-copy plan: on the CPU device map IS zero-copy, so the plan knob
-  // has one sensible value (paper Fig 7/8); kept in the config for the C
-  // API and the ablation bench rather than explored.
-  const bool prefer_map = true;
 
   std::vector<TunedConfig> out;
   for (const ocl::ExecutorKind exec : execs) {
@@ -316,7 +311,6 @@ std::vector<TunedConfig> enumerate_candidates(const ocl::KernelDef& def,
           cfg.executor = exec;
           cfg.chunk_divisor = cd;
           cfg.scheduler = sched;
-          cfg.prefer_map = prefer_map;
           out.push_back(cfg);
         }
       }

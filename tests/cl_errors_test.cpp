@@ -1,12 +1,13 @@
 // CL error-code matrix + drift guards for the binary-compatible shim.
 //
 // Two halves:
-//  1. Drift guards: the set of entry points declared in include/CL/cl.h must
-//     equal the Implemented+Stubbed rows of the cl_surface() table, the table
-//     must stay sorted, every Implemented row must name a covering test, and
-//     the numeric expectations below must agree with status_to_cl_code() —
-//     so neither the header, the surface table, nor this test can drift from
-//     the shim.
+//  1. Drift guards: the set of entry points declared in include/CL/cl.h and
+//     include/CL/cl_ext_mcl.h must equal the Implemented+Stubbed rows of the
+//     cl_surface() table (extensions, and only they, carry the MCL suffix),
+//     the table must stay sorted, every Implemented row must name a covering
+//     test, and the numeric expectations below must agree with
+//     status_to_cl_code() — so neither the headers, the surface table, nor
+//     this test can drift from the shim.
 //  2. The matrix proper: one or more table-driven negative calls per entry
 //     point asserting the spec-mandated error code.
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
 
 #include "core/error.hpp"
 #include "ocl/cl_status.hpp"
@@ -127,6 +129,17 @@ const std::vector<MatrixCase>& matrix() {
          return clGetDeviceIDs(f.platform, CL_DEVICE_TYPE_CPU, 0, &d,
                                nullptr);
        }},
+      {"clGetDeviceIDs", "device_type 0", CL_INVALID_DEVICE_TYPE,
+       [](Fix& f) {
+         cl_device_id d;
+         return clGetDeviceIDs(f.platform, 0, 1, &d, nullptr);
+       }},
+      {"clGetDeviceIDs", "NULL devices and NULL num_devices",
+       CL_INVALID_VALUE,
+       [](Fix& f) {
+         return clGetDeviceIDs(f.platform, CL_DEVICE_TYPE_CPU, 1, nullptr,
+                               nullptr);
+       }},
       {"clGetDeviceInfo", "unknown param_name", CL_INVALID_VALUE,
        [](Fix& f) {
          char buf[8];
@@ -175,6 +188,15 @@ const std::vector<MatrixCase>& matrix() {
        [](Fix&) {
          cl_int err = CL_SUCCESS;
          cl_context c = clCreateContext(nullptr, 0, nullptr, nullptr, nullptr,
+                                        &err);
+         EXPECT_EQ(nullptr, c);
+         return err;
+       }},
+      {"clCreateContext", "NULL entry in the device list", CL_INVALID_DEVICE,
+       [](Fix&) {
+         cl_device_id none = nullptr;
+         cl_int err = CL_SUCCESS;
+         cl_context c = clCreateContext(nullptr, 1, &none, nullptr, nullptr,
                                         &err);
          EXPECT_EQ(nullptr, c);
          return err;
@@ -388,10 +410,13 @@ const std::vector<MatrixCase>& matrix() {
        }},
       {"clUnloadCompiler", "no compiler exists, still CL_SUCCESS", CL_SUCCESS,
        [](Fix&) { return clUnloadCompiler(); }},
-      {"clGetExtensionFunctionAddress", "no extensions exported", CL_SUCCESS,
+      {"clGetExtensionFunctionAddress", "no runtime lookup, even of MCL "
+       "extensions", CL_SUCCESS,
        [](Fix&) {
          return clGetExtensionFunctionAddress("clIcdGetPlatformIDsKHR") ==
-                        nullptr
+                            nullptr &&
+                        clGetExtensionFunctionAddress("clTraceBeginMCL") ==
+                            nullptr
                     ? CL_SUCCESS
                     : CL_INVALID_VALUE;
        }},
@@ -543,6 +568,14 @@ const std::vector<MatrixCase>& matrix() {
          return clEnqueueWriteBuffer(f.queue, f.buffer, CL_TRUE, 0, 0, src, 0,
                                      nullptr, nullptr);
        }},
+      {"clEnqueueWriteBuffer", "NULL event in the wait list",
+       CL_INVALID_EVENT_WAIT_LIST,
+       [](Fix& f) {
+         char src[4] = {0};
+         cl_event none = nullptr;
+         return clEnqueueWriteBuffer(f.queue, f.buffer, CL_FALSE, 0,
+                                     sizeof(src), src, 1, &none, nullptr);
+       }},
       {"clEnqueueReadBufferRect", "NULL host pointer", CL_INVALID_VALUE,
        [](Fix& f) {
          size_t origin[3] = {0, 0, 0};
@@ -666,6 +699,80 @@ const std::vector<MatrixCase>& matrix() {
        [](Fix&) { return clRetainEvent(nullptr); }},
       {"clReleaseEvent", "NULL event", CL_INVALID_EVENT,
        [](Fix&) { return clReleaseEvent(nullptr); }},
+
+      // --- cl_mcl_runtime extensions (CL/cl_ext_mcl.h) ---
+      {"clTraceBeginMCL", "NULL name", CL_INVALID_VALUE,
+       [](Fix&) { return clTraceBeginMCL(nullptr); }},
+      {"clTraceEndMCL", "NULL name", CL_INVALID_VALUE,
+       [](Fix&) { return clTraceEndMCL(nullptr); }},
+      {"clTraceCounterMCL", "NULL name", CL_INVALID_VALUE,
+       [](Fix&) { return clTraceCounterMCL(nullptr, 0.0); }},
+      {"clGetEventKernelProfileMCL", "NULL event", CL_INVALID_EVENT,
+       [](Fix&) { return clGetEventKernelProfileMCL(nullptr, nullptr); }},
+      {"clGetEventKernelProfileMCL", "NULL profile", CL_INVALID_VALUE,
+       [](Fix& f) {
+         cl_int err = CL_SUCCESS;
+         cl_event ev = clCreateUserEvent(f.context, &err);
+         EXPECT_EQ(CL_SUCCESS, err);
+         clSetUserEventStatus(ev, CL_COMPLETE);
+         cl_int got = clGetEventKernelProfileMCL(ev, nullptr);
+         clReleaseEvent(ev);
+         return got;
+       }},
+      {"clGetEventKernelProfileMCL", "user events are not kernel launches",
+       CL_PROFILING_INFO_NOT_AVAILABLE,
+       [](Fix& f) {
+         cl_int err = CL_SUCCESS;
+         cl_event ev = clCreateUserEvent(f.context, &err);
+         EXPECT_EQ(CL_SUCCESS, err);
+         clSetUserEventStatus(ev, CL_COMPLETE);
+         cl_kernel_profile_mcl p;
+         cl_int got = clGetEventKernelProfileMCL(ev, &p);
+         clReleaseEvent(ev);
+         return got;
+       }},
+      {"clGetMetricsSnapshotMCL", "NULL buffer and NULL size_ret",
+       CL_INVALID_VALUE,
+       [](Fix&) { return clGetMetricsSnapshotMCL(0, nullptr, nullptr); }},
+      {"clSetTuningMCL", "unknown mode", CL_INVALID_VALUE,
+       [](Fix&) { return clSetTuningMCL(7); }},
+      {"clGetTunedConfigMCL", "device the platform does not know",
+       CL_INVALID_DEVICE,
+       [](Fix& f) {
+         const size_t global = 64;
+         cl_tuned_config_mcl cfg;
+         return clGetTunedConfigMCL(reinterpret_cast<cl_device_id>(f.platform),
+                                    "square", 1, &global, &cfg);
+       }},
+      {"clGetTunedConfigMCL", "unregistered kernel", CL_INVALID_KERNEL_NAME,
+       [](Fix&) {
+         const size_t global = 64;
+         cl_tuned_config_mcl cfg;
+         return clGetTunedConfigMCL(nullptr, "no.such.kernel", 1, &global,
+                                    &cfg);
+       }},
+      {"clGetTunedConfigMCL", "NULL kernel name", CL_INVALID_VALUE,
+       [](Fix&) {
+         const size_t global = 64;
+         cl_tuned_config_mcl cfg;
+         return clGetTunedConfigMCL(nullptr, nullptr, 1, &global, &cfg);
+       }},
+      {"clGetTunedConfigMCL", "work_dim 0", CL_INVALID_VALUE,
+       [](Fix&) {
+         const size_t global = 64;
+         cl_tuned_config_mcl cfg;
+         return clGetTunedConfigMCL(nullptr, "square", 0, &global, &cfg);
+       }},
+      {"clGetTunedConfigMCL", "NULL global size", CL_INVALID_VALUE,
+       [](Fix&) {
+         cl_tuned_config_mcl cfg;
+         return clGetTunedConfigMCL(nullptr, "square", 1, nullptr, &cfg);
+       }},
+      {"clGetTunedConfigMCL", "NULL config", CL_INVALID_VALUE,
+       [](Fix&) {
+         const size_t global = 64;
+         return clGetTunedConfigMCL(nullptr, "square", 1, &global, nullptr);
+       }},
   };
   return kCases;
 }
@@ -683,9 +790,9 @@ TEST(ClErrorMatrix, SpecMandatedCodes) {
 // ---------------------------------------------------------------------------
 // Drift guards.
 
-std::set<std::string> header_entry_points() {
-  std::ifstream in(MCL_CL_HEADER);
-  EXPECT_TRUE(in.is_open()) << "cannot open " << MCL_CL_HEADER;
+std::set<std::string> header_entry_points(const char* path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << "cannot open " << path;
   std::stringstream ss;
   ss << in.rdbuf();
   std::string text = ss.str();
@@ -702,25 +809,38 @@ std::set<std::string> header_entry_points() {
 }
 
 TEST(ClSurfaceDrift, HeaderMatchesSurfaceTable) {
-  std::set<std::string> declared = header_entry_points();
-  ASSERT_FALSE(declared.empty());
+  const std::set<std::string> core = header_entry_points(MCL_CL_HEADER);
+  const std::set<std::string> ext = header_entry_points(MCL_CL_EXT_HEADER);
+  ASSERT_FALSE(core.empty());
+  ASSERT_FALSE(ext.empty());
+  // Vendor extensions carry the MCL suffix and live only in cl_ext_mcl.h.
+  for (const std::string& name : core) {
+    EXPECT_FALSE(name.ends_with("MCL"))
+        << name << " is an MCL extension declared in CL/cl.h";
+  }
+  for (const std::string& name : ext) {
+    EXPECT_TRUE(name.ends_with("MCL"))
+        << name << " is declared in CL/cl_ext_mcl.h without the MCL suffix";
+  }
+  std::set<std::string> declared = core;
+  declared.insert(ext.begin(), ext.end());
   std::set<std::string> expected;
   for (const ClSurfaceEntry& e : cl_surface()) {
     if (e.status != ClSurfaceStatus::Unsupported) expected.insert(e.name);
   }
   for (const std::string& name : declared) {
     EXPECT_TRUE(expected.count(name))
-        << name << " is declared in CL/cl.h but has no surface-table row";
+        << name << " is declared in a CL header but has no surface-table row";
   }
   for (const std::string& name : expected) {
     EXPECT_TRUE(declared.count(name))
-        << name << " is in the surface table but not declared in CL/cl.h";
+        << name << " is in the surface table but declared in no CL header";
   }
   // Unsupported rows must NOT be declared.
   for (const ClSurfaceEntry& e : cl_surface()) {
     if (e.status == ClSurfaceStatus::Unsupported) {
       EXPECT_FALSE(declared.count(e.name))
-          << e.name << " is marked Unsupported but declared in CL/cl.h";
+          << e.name << " is marked Unsupported but declared in a CL header";
     }
   }
 }

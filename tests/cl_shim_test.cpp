@@ -1,10 +1,11 @@
 // CL shim integration tests (positive paths; the negative matrix lives in
-// cl_errors_test.cpp).
+// cl_errors_test.cpp), including the cl_ext_mcl.h extensions and the C99
+// translation unit cl_ext_mcl_smoke.c.
 //
-// The headline test is the PR's acceptance scenario: one cl_context holding
-// the CPU root device, two CPU sub-devices and the simulated GPU, executing
-// the same kernel on each through clEnqueueNDRangeKernel, with event
-// profiling timestamps consistent with the shared steady epoch.
+// The headline test is the multi-device acceptance scenario: one cl_context
+// holding the CPU root device, two CPU sub-devices and the simulated GPU,
+// executing the same kernel on each through clEnqueueNDRangeKernel, with
+// event profiling timestamps consistent with the shared steady epoch.
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -15,6 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
+
+#include "prof/profiler.hpp"
+
+extern "C" int cl_ext_mcl_c_smoke(void);
 
 namespace {
 
@@ -524,6 +530,287 @@ TEST(ClShim, TaskMarkerBarrierFlush) {
   clReleaseEvent(marker_ev);
   clReleaseMemObject(in_buf);
   clReleaseMemObject(out_buf);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  f.destroy();
+}
+
+TEST(ClShim, DeviceDiscoveryCountsByType) {
+  Base& b = Base::get();
+  cl_uint n = 0;
+  ASSERT_EQ(CL_SUCCESS,
+            clGetDeviceIDs(b.platform, CL_DEVICE_TYPE_CPU | CL_DEVICE_TYPE_GPU,
+                           0, nullptr, &n));
+  EXPECT_EQ(2u, n);
+  cl_device_id devices[2] = {nullptr, nullptr};
+  ASSERT_EQ(CL_SUCCESS, clGetDeviceIDs(b.platform, CL_DEVICE_TYPE_GPU, 2,
+                                       devices, &n));
+  EXPECT_EQ(1u, n);
+  EXPECT_EQ(b.gpu, devices[0]);
+}
+
+TEST(ClShim, ScalarAndLocalArgs) {
+  // square_coalesced takes a uint scalar (arg 2); reduce takes local memory
+  // (arg 2) through a NULL clSetKernelArg value.
+  CtxFix f = CtxFix::create();
+  const char* src =
+      "__kernel void square_coalesced(__global const float* in, "
+      "__global float* out, uint per_item) { }\n"
+      "__kernel void reduce(__global const float* in, "
+      "__global float* partials, __local float* scratch) { }\n";
+  cl_int err = CL_SUCCESS;
+  cl_program program =
+      clCreateProgramWithSource(f.context, 1, &src, nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS,
+            clBuildProgram(program, 0, nullptr, nullptr, nullptr, nullptr));
+
+  constexpr size_t kN = 1000;
+  std::vector<float> in(kN, 3.0f), out(kN, 0.0f);
+  cl_mem in_buf =
+      clCreateBuffer(f.context, CL_MEM_READ_ONLY | CL_MEM_COPY_HOST_PTR,
+                     kN * sizeof(float), in.data(), &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_mem out_buf = clCreateBuffer(f.context, CL_MEM_WRITE_ONLY,
+                                  kN * sizeof(float), nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+
+  cl_kernel coalesced = clCreateKernel(program, "square_coalesced", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  const cl_uint per_item = 10;
+  ASSERT_EQ(CL_SUCCESS,
+            clSetKernelArg(coalesced, 0, sizeof(cl_mem), &in_buf));
+  ASSERT_EQ(CL_SUCCESS,
+            clSetKernelArg(coalesced, 1, sizeof(cl_mem), &out_buf));
+  ASSERT_EQ(CL_SUCCESS,
+            clSetKernelArg(coalesced, 2, sizeof(per_item), &per_item));
+  size_t global = kN / per_item;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, coalesced, 1, nullptr,
+                                               &global, nullptr, 0, nullptr,
+                                               nullptr));
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, out_buf, CL_TRUE, 0,
+                                kN * sizeof(float), out.data(), 0, nullptr,
+                                nullptr));
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(9.0f, out[i]) << i;
+
+  // 10 workgroups of 100 items, one partial sum each.
+  cl_kernel reduce = clCreateKernel(program, "reduce", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  float partial[10] = {};
+  cl_mem partials = clCreateBuffer(f.context, CL_MEM_READ_WRITE,
+                                   sizeof(partial), nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  const size_t local = 100;
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(reduce, 0, sizeof(cl_mem), &in_buf));
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(reduce, 1, sizeof(cl_mem), &partials));
+  ASSERT_EQ(CL_SUCCESS,
+            clSetKernelArg(reduce, 2, local * sizeof(float), nullptr));
+  global = kN;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, reduce, 1, nullptr,
+                                               &global, &local, 0, nullptr,
+                                               nullptr));
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, partials, CL_TRUE, 0, sizeof(partial),
+                                partial, 0, nullptr, nullptr));
+  float sum = 0.0f;
+  for (float p : partial) sum += p;
+  EXPECT_NEAR(3.0f * kN, sum, 0.5f);
+
+  clReleaseMemObject(partials);
+  clReleaseMemObject(in_buf);
+  clReleaseMemObject(out_buf);
+  clReleaseKernel(coalesced);
+  clReleaseKernel(reduce);
+  clReleaseProgram(program);
+  f.destroy();
+}
+
+TEST(ClShim, OutOfOrderWaitListsOrderTransfersAndKernels) {
+  CtxFix f = CtxFix::create(CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE);
+  cl_program program = build_square(f.context);
+  cl_int err = CL_SUCCESS;
+  cl_kernel kernel = clCreateKernel(program, "square", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  constexpr size_t kN = 1024;
+  std::vector<float> in(kN, 4.0f), out(kN, 0.0f);
+  cl_mem buf = clCreateBuffer(f.context, CL_MEM_READ_WRITE, kN * sizeof(float),
+                              nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 0, sizeof(cl_mem), &buf));
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 1, sizeof(cl_mem), &buf));
+
+  // On the out-of-order queue the wait lists are the only ordering:
+  // write -> kernel -> read, none of them blocking.
+  cl_event w_ev = nullptr, k_ev = nullptr, r_ev = nullptr;
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueWriteBuffer(f.queue, buf, CL_FALSE, 0, kN * sizeof(float),
+                                 in.data(), 0, nullptr, &w_ev));
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, kernel, 1, nullptr,
+                                               &kN, nullptr, 1, &w_ev, &k_ev));
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, buf, CL_FALSE, 0, kN * sizeof(float),
+                                out.data(), 1, &k_ev, &r_ev));
+  ASSERT_EQ(CL_SUCCESS, clWaitForEvents(1, &r_ev));
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(16.0f, out[i]) << i;
+
+  // Profiling: monotonic within each event, and each wait edge orders the
+  // next event's start after the previous one's end.
+  cl_ulong prev_end = 0;
+  for (cl_event ev : {w_ev, k_ev, r_ev}) {
+    cl_ulong queued = 0, submit = 0, start = 0, end = 0;
+    size_t size_ret = 0;
+    ASSERT_EQ(CL_SUCCESS,
+              clGetEventProfilingInfo(ev, CL_PROFILING_COMMAND_QUEUED,
+                                      sizeof(queued), &queued, &size_ret));
+    EXPECT_EQ(sizeof(cl_ulong), size_ret);
+    ASSERT_EQ(CL_SUCCESS,
+              clGetEventProfilingInfo(ev, CL_PROFILING_COMMAND_SUBMIT,
+                                      sizeof(submit), &submit, nullptr));
+    ASSERT_EQ(CL_SUCCESS,
+              clGetEventProfilingInfo(ev, CL_PROFILING_COMMAND_START,
+                                      sizeof(start), &start, nullptr));
+    ASSERT_EQ(CL_SUCCESS,
+              clGetEventProfilingInfo(ev, CL_PROFILING_COMMAND_END,
+                                      sizeof(end), &end, nullptr));
+    EXPECT_LE(queued, submit);
+    EXPECT_LE(submit, start);
+    EXPECT_LE(start, end);
+    EXPECT_GE(start, prev_end);
+    prev_end = end;
+  }
+  cl_ulong t = 0;
+  EXPECT_EQ(CL_INVALID_VALUE,
+            clGetEventProfilingInfo(r_ev, 0xdead, sizeof(t), &t, nullptr));
+  EXPECT_EQ(CL_INVALID_VALUE,
+            clGetEventProfilingInfo(r_ev, CL_PROFILING_COMMAND_END, 2, &t,
+                                    nullptr));
+
+  // A marker completes once everything enqueued before it has; a
+  // wait-for-events barrier and a plain barrier return no event.
+  cl_event m_ev = nullptr;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueMarker(f.queue, &m_ev));
+  ASSERT_EQ(CL_SUCCESS, clWaitForEvents(1, &m_ev));
+  cl_int status = CL_QUEUED;
+  for (cl_event ev : {w_ev, k_ev, r_ev}) {
+    ASSERT_EQ(CL_SUCCESS,
+              clGetEventInfo(ev, CL_EVENT_COMMAND_EXECUTION_STATUS,
+                             sizeof(status), &status, nullptr));
+    EXPECT_EQ(CL_COMPLETE, status);
+  }
+  ASSERT_EQ(CL_SUCCESS, clEnqueueWaitForEvents(f.queue, 1, &m_ev));
+  ASSERT_EQ(CL_SUCCESS, clEnqueueBarrier(f.queue));
+  ASSERT_EQ(CL_SUCCESS, clFinish(f.queue));
+
+  for (cl_event ev : {w_ev, k_ev, r_ev, m_ev}) {
+    EXPECT_EQ(CL_SUCCESS, clReleaseEvent(ev));
+  }
+  clReleaseMemObject(buf);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  f.destroy();
+}
+
+TEST(ClShim, FailedEventPoisonsItsDependents) {
+  // A failed event fails every command that waits on it, transitively and
+  // across command types; the queue itself still drains.
+  CtxFix f = CtxFix::create(CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE);
+  cl_program program = build_square(f.context);
+  cl_int err = CL_SUCCESS;
+  cl_kernel kernel = clCreateKernel(program, "square", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  cl_mem buf = clCreateBuffer(f.context, CL_MEM_READ_WRITE, 64 * sizeof(float),
+                              nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 0, sizeof(cl_mem), &buf));
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 1, sizeof(cl_mem), &buf));
+
+  cl_event gate = clCreateUserEvent(f.context, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  const size_t global = 64;
+  cl_event k_ev = nullptr, r_ev = nullptr;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, kernel, 1, nullptr,
+                                               &global, nullptr, 1, &gate,
+                                               &k_ev));
+  float out[64];
+  ASSERT_EQ(CL_SUCCESS, clEnqueueReadBuffer(f.queue, buf, CL_FALSE, 0,
+                                            sizeof(out), out, 1, &k_ev,
+                                            &r_ev));
+  ASSERT_EQ(CL_SUCCESS, clSetUserEventStatus(gate, CL_INVALID_OPERATION));
+
+  EXPECT_EQ(CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+            clWaitForEvents(1, &k_ev));
+  EXPECT_EQ(CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+            clWaitForEvents(1, &r_ev));
+  cl_int status = CL_COMPLETE;
+  ASSERT_EQ(CL_SUCCESS, clGetEventInfo(r_ev, CL_EVENT_COMMAND_EXECUTION_STATUS,
+                                       sizeof(status), &status, nullptr));
+  EXPECT_LT(status, 0);
+  ASSERT_EQ(CL_SUCCESS, clFinish(f.queue));
+
+  clReleaseEvent(gate);
+  clReleaseEvent(k_ev);
+  clReleaseEvent(r_ev);
+  clReleaseMemObject(buf);
+  clReleaseKernel(kernel);
+  clReleaseProgram(program);
+  f.destroy();
+}
+
+// ---------------------------------------------------------------------------
+// cl_mcl_runtime extensions (CL/cl_ext_mcl.h).
+
+TEST(ClExtMcl, PureCTranslationUnit) { EXPECT_EQ(0, cl_ext_mcl_c_smoke()); }
+
+TEST(ClExtMcl, EventKernelProfileCarriesCounters) {
+  CtxFix f = CtxFix::create();
+  cl_program program = build_square(f.context);
+  cl_int err = CL_SUCCESS;
+  cl_kernel kernel = clCreateKernel(program, "square", &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  constexpr size_t kN = 512;
+  cl_mem buf = clCreateBuffer(f.context, CL_MEM_READ_WRITE, kN * sizeof(float),
+                              nullptr, &err);
+  ASSERT_EQ(CL_SUCCESS, err);
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 0, sizeof(cl_mem), &buf));
+  ASSERT_EQ(CL_SUCCESS, clSetKernelArg(kernel, 1, sizeof(cl_mem), &buf));
+
+  mcl::prof::start();
+  const size_t local = 64;
+  cl_event ev = nullptr;
+  ASSERT_EQ(CL_SUCCESS, clEnqueueNDRangeKernel(f.queue, kernel, 1, nullptr,
+                                               &kN, &local, 0, nullptr, &ev));
+  ASSERT_EQ(CL_SUCCESS, clWaitForEvents(1, &ev));
+  cl_kernel_profile_mcl p;
+  ASSERT_EQ(CL_SUCCESS, clGetEventKernelProfileMCL(ev, &p));
+  EXPECT_STREQ("square", p.kernel);
+  EXPECT_EQ(1u, p.launches);
+  EXPECT_EQ(kN / local, p.workgroups);
+  EXPECT_EQ(kN, p.items);
+  EXPECT_GT(p.seconds, 0.0);
+  // Graceful degradation: `hardware` says whether cycles and IPC are real.
+  if (p.hardware == CL_FALSE) {
+    EXPECT_EQ(0u, p.cycles);
+    EXPECT_EQ(0.0, p.ipc);
+  } else {
+    EXPECT_GT(p.cycles, 0u);
+    EXPECT_GT(p.ipc, 0.0);
+  }
+  EXPECT_EQ(CL_INVALID_VALUE, clGetEventKernelProfileMCL(ev, nullptr));
+  mcl::prof::stop();
+
+  // A transfer event is not a kernel launch: there is no profile to fetch.
+  std::vector<float> host(kN, 0.0f);
+  cl_event r_ev = nullptr;
+  ASSERT_EQ(CL_SUCCESS,
+            clEnqueueReadBuffer(f.queue, buf, CL_TRUE, 0, kN * sizeof(float),
+                                host.data(), 0, nullptr, &r_ev));
+  EXPECT_EQ(CL_PROFILING_INFO_NOT_AVAILABLE,
+            clGetEventKernelProfileMCL(r_ev, &p));
+
+  clReleaseEvent(ev);
+  clReleaseEvent(r_ev);
+  clReleaseMemObject(buf);
   clReleaseKernel(kernel);
   clReleaseProgram(program);
   f.destroy();

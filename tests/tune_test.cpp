@@ -2,8 +2,9 @@
 // pruning), the bounded explore/exploit policy with its regression guard,
 // persistent-cache round-trip / version-mismatch / corruption / concurrent
 // writers, IR re-registration eviction, warm-cache zero-exploration, the
-// launch-path integration (results stay correct while tuning), and the C API
-// (the `tune` label is in the plain and TSan tiers).
+// launch-path integration (results stay correct while tuning), and the
+// cl_ext_mcl.h tuning extensions (the `tune` label is in the plain and TSan
+// tiers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,11 +13,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
+
+#include <CL/cl.h>
+#include <CL/cl_ext_mcl.h>
 
 #include "apps/matrixmul.hpp"
 #include "apps/simple.hpp"
-#include "ocl/mcl.h"
 #include "ocl/queue.hpp"
 #include "simd/vec.hpp"
 #include "tune/tune.hpp"
@@ -383,6 +387,26 @@ TEST(TuneCache, VersionMismatchRejectsWholeFile) {
   EXPECT_GE(t.stats().cache_rows_rejected, 1u);
 }
 
+TEST(TuneCache, V2FileWithMapColumnLoadsNoRows) {
+  TunerGuard guard;
+  Tuner& t = Tuner::instance();
+  // A well-formed v2 file: its rows carry the retired map-vs-copy column
+  // before best_ns. The v3 header check must reject the file instead of
+  // reading that column as the best time.
+  const std::string key = "tune.test.v2|g4096x1x1|lauto|t4|a0";
+  std::ostringstream payload;
+  payload << "mcltune v2\n"
+          << "row " << key << " 0 0 0 0 0 0 16 1 1 1000\n";
+  std::ostringstream doc;
+  doc << payload.str() << "checksum " << std::hex << fnv1a64(payload.str())
+      << "\n";
+  const std::string path = temp_path("tune_v2.cache");
+  write_file(path, doc.str());
+  EXPECT_EQ(t.load_cache(path), 0u);
+  EXPECT_EQ(t.entry_count(), 0u);
+  EXPECT_GE(t.stats().cache_rows_rejected, 1u);
+}
+
 TEST(TuneCache, TruncatedFileFallsBackToColdStart) {
   TunerGuard guard;
   Tuner& t = Tuner::instance();
@@ -465,7 +489,7 @@ TEST(TuneCache, StaleGenerationRowIsSkipped) {
 TEST(TuneCache, WarmRowIllegalForThisBuildIsDroppedAtDecide) {
   TunerGuard guard;
   Tuner& t = Tuner::instance();
-  // Hand-craft a structurally valid v2 cache whose row pins the Simd
+  // Hand-craft a structurally valid v3 cache whose row pins the Simd
   // executor for a kernel with no simd form — what a cache written by a
   // SIMD-enabled build (or a hand edit) looks like to this process. The
   // generation guard cannot catch it (0 == 0 for never-registered IR);
@@ -473,8 +497,8 @@ TEST(TuneCache, WarmRowIllegalForThisBuildIsDroppedAtDecide) {
   // would reject on every launch.
   const std::string key = "tune.test.illegalwarm|g4096x1x1|lauto|t4|a0";
   std::ostringstream payload;
-  payload << "mcltune v2\n"
-          << "row " << key << " 0 0 0 0 0 3 16 0 1 1000\n";
+  payload << "mcltune v3\n"
+          << "row " << key << " 0 0 0 0 0 3 16 0 1000\n";
   std::ostringstream doc;
   doc << payload.str() << "checksum " << std::hex << fnv1a64(payload.str())
       << "\n";
@@ -655,28 +679,107 @@ TEST(TuneMode, EnvVarActivatesEnabledWithoutTouchingTheSingleton) {
   ::unsetenv("MCL_TUNE");
 }
 
-TEST(TuneCApi, SetTuningAndQueryConfig) {
+TEST(TuneClExt, SetTuningAndQueryConfig) {
   TunerGuard guard;
-  EXPECT_EQ(mclSetTuning(MCL_TUNE_SEED), MCL_SUCCESS);
+  EXPECT_EQ(clSetTuningMCL(CL_TUNE_SEED_MCL), CL_SUCCESS);
   EXPECT_EQ(Tuner::instance().mode(), Mode::Seed);
-  EXPECT_EQ(mclSetTuning(7), MCL_INVALID_VALUE);
+  EXPECT_EQ(clSetTuningMCL(7), CL_INVALID_VALUE);
+  EXPECT_EQ(Tuner::instance().mode(), Mode::Seed);
 
   const std::size_t global[1] = {4096};
-  mcl_tuned_config cfg{};
-  EXPECT_EQ(mclGetTunedConfig("square", 1, global, &cfg), MCL_SUCCESS);
+  cl_tuned_config_mcl cfg{};
+  EXPECT_EQ(clGetTunedConfigMCL(nullptr, "square", 1, global, &cfg),
+            CL_SUCCESS);
   EXPECT_GT(cfg.chunk_divisor, 0u);
-  EXPECT_GE(cfg.executor, 0);
-  EXPECT_LE(cfg.executor, 3);
+  EXPECT_LE(cfg.executor, static_cast<cl_uint>(CL_EXECUTOR_SIMD_MCL));
   if (cfg.work_dim != 0) {
     ASSERT_EQ(cfg.work_dim, 1u);
     EXPECT_EQ(global[0] % cfg.local_size[0], 0u);
   }
 
-  EXPECT_EQ(mclGetTunedConfig("no.such.kernel", 1, global, &cfg),
-            MCL_INVALID_KERNEL_NAME);
-  EXPECT_EQ(mclGetTunedConfig("square", 0, global, &cfg), MCL_INVALID_VALUE);
-  EXPECT_EQ(mclGetTunedConfig("square", 1, nullptr, &cfg), MCL_INVALID_VALUE);
-  EXPECT_EQ(mclSetTuning(MCL_TUNE_OFF), MCL_SUCCESS);
+  EXPECT_EQ(clGetTunedConfigMCL(nullptr, "no.such.kernel", 1, global, &cfg),
+            CL_INVALID_KERNEL_NAME);
+  EXPECT_EQ(clGetTunedConfigMCL(nullptr, "square", 0, global, &cfg),
+            CL_INVALID_VALUE);
+  EXPECT_EQ(clGetTunedConfigMCL(nullptr, "square", 1, nullptr, &cfg),
+            CL_INVALID_VALUE);
+  EXPECT_EQ(clSetTuningMCL(CL_TUNE_OFF_MCL), CL_SUCCESS);
+  EXPECT_EQ(Tuner::instance().mode(), Mode::Off);
+}
+
+// The query keys on the device's compute units, the same key the launch
+// path uses: a sub-device reads the entry learned at its shard width, and
+// NULL reads the default CPU device's.
+TEST(TuneClExt, TunedConfigQueryKeysOnTheDevice) {
+  TunerGuard guard;
+  Tuner& t = Tuner::instance();
+  cl_platform_id platform = nullptr;
+  cl_device_id cpu = nullptr;
+  ASSERT_EQ(clGetPlatformIDs(1, &platform, nullptr), CL_SUCCESS);
+  ASSERT_EQ(clGetDeviceIDs(platform, CL_DEVICE_TYPE_CPU, 1, &cpu, nullptr),
+            CL_SUCCESS);
+  cl_uint units = 0;
+  ASSERT_EQ(clGetDeviceInfo(cpu, CL_DEVICE_MAX_COMPUTE_UNITS, sizeof(units),
+                            &units, nullptr),
+            CL_SUCCESS);
+  if (units < 2) GTEST_SKIP() << "needs a CPU pool of >= 2 workers";
+  const cl_device_partition_property props[] = {
+      CL_DEVICE_PARTITION_BY_COUNTS, 1, CL_DEVICE_PARTITION_BY_COUNTS_LIST_END,
+      0};
+  cl_device_id shard = nullptr;
+  ASSERT_EQ(clCreateSubDevices(cpu, props, 1, &shard, nullptr), CL_SUCCESS);
+
+  const ocl::KernelDef& def =
+      ocl::Program::builtin().lookup(apps::kSquareKernel);
+  const std::size_t global[1] = {4096};
+  const ocl::NDRange range{global[0]};
+  auto fields = [](const TunedConfig& c) {
+    return std::make_tuple(c.local.dims, c.local.size[0], c.executor,
+                           c.chunk_divisor);
+  };
+  const auto seed_wide =
+      t.tuned_config(def, range, ocl::NDRange{}, false, units);
+  const auto seed_narrow = t.tuned_config(def, range, ocl::NDRange{}, false, 1);
+  ASSERT_TRUE(seed_wide && seed_narrow);
+
+  // Converge the 1-wide entry on a candidate that neither seed ranking puts
+  // first, so only a query keyed on width 1 can return it.
+  t.set_mode(Mode::Online);
+  for (int i = 0; i < 200 && !t.converged(def.name, range, ocl::NDRange{}, 1);
+       ++i) {
+    auto d = t.decide(def, range, ocl::NDRange{}, false, 1);
+    ASSERT_TRUE(d.has_value());
+    const bool fast = fields(d->config) != fields(*seed_wide) &&
+                      fields(d->config) != fields(*seed_narrow);
+    t.report(*d, fast ? 0.001 : 0.010);
+  }
+  t.set_mode(Mode::Off);
+  const auto learned = t.tuned_config(def, range, ocl::NDRange{}, false, 1);
+  ASSERT_TRUE(learned.has_value());
+  if (fields(*learned) == fields(*seed_narrow)) {
+    GTEST_SKIP() << "every candidate matches a seed ranking's first choice";
+  }
+
+  auto query = [&](cl_device_id device) {
+    cl_tuned_config_mcl cfg{};
+    EXPECT_EQ(clGetTunedConfigMCL(device, "square", 1, global, &cfg),
+              CL_SUCCESS);
+    return std::make_tuple(static_cast<std::size_t>(cfg.work_dim),
+                           cfg.local_size[0], cfg.executor,
+                           static_cast<std::size_t>(cfg.chunk_divisor));
+  };
+  auto expect = [](const TunedConfig& c) {
+    cl_uint exec = CL_EXECUTOR_AUTO_MCL;
+    if (c.executor == ocl::ExecutorKind::Loop) exec = CL_EXECUTOR_LOOP_MCL;
+    if (c.executor == ocl::ExecutorKind::Fiber) exec = CL_EXECUTOR_FIBER_MCL;
+    if (c.executor == ocl::ExecutorKind::Simd) exec = CL_EXECUTOR_SIMD_MCL;
+    return std::make_tuple(c.local.dims, c.local.size[0], exec,
+                           c.chunk_divisor);
+  };
+  EXPECT_EQ(query(shard), expect(*learned));
+  EXPECT_EQ(query(cpu), expect(*seed_wide));
+  EXPECT_EQ(query(nullptr), expect(*seed_wide));
+  EXPECT_EQ(clReleaseDevice(shard), CL_SUCCESS);
 }
 
 // ----- multi-tenant sharing (mclserve integration) -------------------------

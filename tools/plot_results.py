@@ -726,6 +726,8 @@ CONFORM_KNOWN_TESTS = (
     "cl_errors_test",
     "cl_shim_test",
     "subdevice_test",
+    "trace_test",
+    "tune_test",
     "conformance_hello_opencl",
     "conformance_parallel_min",
 )

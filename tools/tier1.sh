@@ -24,13 +24,14 @@
 #      online convergence);
 #   2. ASan+UBSan build (-DMCL_SANITIZE=address,undefined) + full ctest suite;
 #   3. TSan build (-DMCL_SANITIZE=thread) running the `threading` + `queue` +
-#      `trace` + `prof` + `serve` + `tune` + `subdev` labels — the
+#      `trace` + `prof` + `serve` + `tune` + `subdev` + `shim` labels — the
 #      thread-pool wakeup, event-graph executor, trace-ring, metrics-shard,
-#      multi-tenant serve, tuner decide/report/cache, and sub-device
-#      sharding tests (concurrent shard launches from multiple host threads
-#      over disjoint worker spans). Only those labels: TSan cannot track
-#      ucontext fiber stacks, so the fiber suites are excluded via the
-#      label selection.
+#      multi-tenant serve, tuner decide/report/cache, sub-device sharding
+#      (concurrent shard launches from multiple host threads over disjoint
+#      worker spans), and CL shim tests (wait lists, user events, callbacks
+#      and error propagation through the C API). Only those labels: TSan
+#      cannot track ucontext fiber stacks, so the fiber suites are excluded
+#      via the label selection.
 #
 # Every stage runs even when an earlier one fails (a stage whose inputs a
 # failed build did not produce fails in turn); a per-stage PASS/FAIL summary
@@ -152,12 +153,12 @@ tsan_build() {
   cmake -B build-tsan -S . -DMCL_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target threading_test \
     queue_async_test trace_test prof_test serve_test tune_test obs_test \
-    subdevice_test
+    subdevice_test cl_shim_test
 }
 
 tsan_tests() {
   ctest --test-dir build-tsan --output-on-failure --timeout "$ctest_timeout" \
-    -L "threading|queue|trace|prof|serve|tune|obs|subdev"
+    -L "threading|queue|trace|prof|serve|tune|obs|subdev|shim"
 }
 
 stage "plain build" plain_build
@@ -171,7 +172,7 @@ stage "mcltune ablation smoke (fixed seed)" tune_smoke
 stage "ASan+UBSan build" asan_build
 stage "ASan+UBSan ctest (full suite)" asan_tests
 stage "TSan build" tsan_build
-stage "TSan ctest (threading + queue + trace + prof + serve + tune + obs + subdev labels)" tsan_tests
+stage "TSan ctest (threading + queue + trace + prof + serve + tune + obs + subdev + shim labels)" tsan_tests
 
 echo "== tier1: summary =="
 printf '  %s\n' "${summary[@]}"
