@@ -9,7 +9,9 @@
 // overrunning the queues.
 //
 // Latency percentiles come from the always-on mclprof histograms the server
-// records into ("serve.latency_ns" and the per-tenant variants); the harness
+// records into ("serve.latency_ns" and the per-tenant variants); with --obs
+// the top-level p50/p99/p999 are exact nearest-rank values over every
+// request's record instead of 2x bucket edges. The harness
 // enables metrics recording, runs the configured request count, and writes a
 // single-object JSON document (--json, default BENCH_serve.json) with the
 // throughput timeline and per-tenant accounting. tools/plot_results.py
@@ -348,6 +350,12 @@ std::uint64_t find_histogram_percentile(const prof::Snapshot& snap,
   return 0;
 }
 
+/// Zero-based index of the nearest-rank percentile of n > 0 sorted samples,
+/// the percentile given in per mille (990 = p99) so the rank is exact.
+std::size_t nearest_rank(std::size_t n, std::size_t permille) {
+  return std::max<std::size_t>((permille * n + 999) / 1000, 1) - 1;
+}
+
 /// Exact per-request critical-path records, teed off obs::set_complete_sink.
 /// The mclprof histograms are log-bucketed (2x resolution) — fine for
 /// dashboards, useless for asserting "segments sum to within 5% of the
@@ -397,14 +405,9 @@ PathSummary summarize_paths(std::vector<const obs::Record*>& recs) {
             [](const obs::Record* a, const obs::Record* b) {
               return a->args[4] < b->args[4];
             });
-  const auto rank = [&](double p) {
-    const std::size_t n = recs.size();
-    std::size_t r = static_cast<std::size_t>(p / 100.0 * static_cast<double>(n));
-    return r >= n ? n - 1 : r;
-  };
-  out.p50_total_ns = recs[rank(50.0)]->args[4];
-  out.p99_total_ns = recs[rank(99.0)]->args[4];
-  out.p99_request = segments_of(*recs[rank(99.0)]);
+  out.p50_total_ns = recs[nearest_rank(recs.size(), 500)]->args[4];
+  out.p99_request = segments_of(*recs[nearest_rank(recs.size(), 990)]);
+  out.p99_total_ns = out.p99_request.total_ns;
   double cov = 0.0;
   for (const obs::Record* r : recs) {
     const obs::PathSegments s = segments_of(*r);
@@ -544,6 +547,22 @@ int run(const Options& opt) {
 
   const prof::Snapshot snap = prof::snapshot();
   const std::string all = "serve.latency_ns";
+  // Top-level p50/p99/p999: exact over the --obs records (each one's total
+  // is that request's measured latency), else the histogram's bucket edges.
+  constexpr std::size_t kPermille[3] = {500, 990, 999};
+  std::uint64_t latency[3];
+  std::vector<std::uint64_t> totals;
+  if (opt.obs) {
+    const std::lock_guard<std::mutex> lock(collector.mu);
+    totals.reserve(collector.records.size());
+    for (const obs::Record& r : collector.records) totals.push_back(r.args[4]);
+  }
+  std::sort(totals.begin(), totals.end());
+  for (int i = 0; i < 3; ++i) {
+    latency[i] = totals.empty()
+                     ? find_histogram_percentile(snap, all, kPermille[i] / 10.0)
+                     : totals[nearest_rank(totals.size(), kPermille[i])];
+  }
 
   std::string json;
   json.reserve(4096 + 64 * timeline.size());
@@ -563,12 +582,9 @@ int run(const Options& opt) {
   std::snprintf(buf, sizeof buf,
                 "  \"latency_ns\": {\"p50\": %llu, \"p99\": %llu, "
                 "\"p999\": %llu},\n",
-                static_cast<unsigned long long>(
-                    find_histogram_percentile(snap, all, 50.0)),
-                static_cast<unsigned long long>(
-                    find_histogram_percentile(snap, all, 99.0)),
-                static_cast<unsigned long long>(
-                    find_histogram_percentile(snap, all, 99.9)));
+                static_cast<unsigned long long>(latency[0]),
+                static_cast<unsigned long long>(latency[1]),
+                static_cast<unsigned long long>(latency[2]));
   json += buf;
   std::snprintf(buf, sizeof buf,
                 "  \"server\": {\"forwarded_commands\": %llu, "
@@ -721,11 +737,8 @@ int run(const Options& opt) {
       "p50=%llu ns p99=%llu ns (%s)\n",
       total_submitted, opt.tenants, duration_s,
       duration_s > 0 ? static_cast<double>(total_completed) / duration_s : 0.0,
-      static_cast<unsigned long long>(
-          find_histogram_percentile(snap, all, 50.0)),
-      static_cast<unsigned long long>(
-          find_histogram_percentile(snap, all, 99.0)),
-      ok ? "ok" : "FAILED");
+      static_cast<unsigned long long>(latency[0]),
+      static_cast<unsigned long long>(latency[1]), ok ? "ok" : "FAILED");
   return ok ? 0 : 1;
 }
 

@@ -30,15 +30,15 @@ struct SectionEntry {
   SectionFn fn;
 };
 
-// Recorder state. One mutex for the ring/config/rate-limit, a second for
-// the section registry so a dump can run section callbacks (which take
-// subsystem locks) without stalling record() on hot paths.
+// Recorder state. One mutex for the ring/config/rate-limit, one for the
+// complete sink, and one for the section registry, so neither a harness's
+// sink nor a dump's section callbacks (which take subsystem locks) stall
+// record() on hot paths.
 struct State {
   std::mutex mu;
   std::vector<Record> ring{std::vector<Record>(kDefaultRingCapacity)};
   std::size_t capacity = kDefaultRingCapacity;
   std::uint64_t appended = 0;  // total records ever; ring holds the tail
-  CompleteSink complete_sink;
   std::string dump_dir;
   std::uint32_t max_dumps = 8;
   std::uint64_t min_dump_interval_ns = 1'000'000'000;  // 1 s
@@ -46,6 +46,9 @@ struct State {
   std::uint64_t last_dump_ns = 0;
   std::uint64_t last_drop_check = 0;   // trace::dropped_events() at last check
   std::uint64_t completes_since_check = 0;
+
+  std::mutex sink_mu;
+  CompleteSink complete_sink;  // guarded by sink_mu
 
   std::mutex sections_mu;
   std::vector<SectionEntry> sections;
@@ -161,17 +164,21 @@ std::uint64_t ensure_context() noexcept {
 PathSegments decompose(const RequestTimes& t) noexcept {
   PathSegments out;
   out.is_kernel = t.is_kernel;
-  // Direct-enqueue callers only have ProfilingInfo; treat the command's
-  // enqueue as both submit and forward so pre-queue segments are empty.
+  // The serve-side window ends at the command's enqueue (queued_ns), so the
+  // scheduler's own forward work (kernel setup, recording) counts as
+  // admission instead of falling between segments; a request that never
+  // reached a queue ends it at forward. Direct-enqueue callers only have
+  // ProfilingInfo, so their pre-queue segments are empty.
   const std::uint64_t submit = t.submit_ns != 0 ? t.submit_ns : t.queued_ns;
-  const std::uint64_t forward = t.forward_ns != 0 ? t.forward_ns : t.queued_ns;
+  const std::uint64_t serve_end =
+      t.queued_ns != 0 ? t.queued_ns : t.forward_ns;
   const std::uint64_t done = t.done_ns != 0 ? t.done_ns : t.ended_ns;
   out.total_ns = sub_sat(done, submit);
 
-  const std::uint64_t pre_forward = sub_sat(forward, submit);
+  const std::uint64_t serve_window = sub_sat(serve_end, submit);
   const std::uint64_t serve_dep =
-      std::min(pre_forward, sub_sat(t.dep_ready_ns, submit));
-  out.admission_ns = pre_forward - serve_dep;
+      std::min(serve_window, sub_sat(t.dep_ready_ns, submit));
+  out.admission_ns = serve_window - serve_dep;
   out.dependency_ns = serve_dep + sub_sat(t.submitted_ns, t.queued_ns);
   out.queue_ns = sub_sat(t.started_ns, t.submitted_ns);
   out.exec_ns = sub_sat(t.ended_ns, t.started_ns);
@@ -196,11 +203,10 @@ void note_request_complete(std::uint64_t ctx, std::uint32_t tenant,
 
   bool drop_burst = false;
   std::uint64_t drop_delta = 0;
+  State& s = state();
   {
-    State& s = state();
     std::lock_guard lock(s.mu);
     append_locked(s, r);
-    if (s.complete_sink) s.complete_sink(r);
     // Drop-burst detector: poll the tracer's drop counter every 256
     // completions (dropped_events() takes the trace session lock).
     if (++s.completes_since_check >= 256) {
@@ -210,6 +216,10 @@ void note_request_complete(std::uint64_t ctx, std::uint32_t tenant,
       s.last_drop_check = now_dropped;
       drop_burst = drop_delta >= kDropBurstThreshold;
     }
+  }
+  {
+    std::lock_guard lock(s.sink_mu);
+    if (s.complete_sink) s.complete_sink(r);
   }
   if (prof::enabled()) {
     static const prof::Histogram h_admission =
@@ -235,7 +245,7 @@ void note_request_complete(std::uint64_t ctx, std::uint32_t tenant,
 
 void set_complete_sink(CompleteSink sink) {
   State& s = state();
-  std::lock_guard lock(s.mu);
+  std::lock_guard lock(s.sink_mu);
   s.complete_sink = std::move(sink);
 }
 

@@ -125,7 +125,7 @@ void set_enabled(bool on);
 struct RequestTimes {
   std::uint64_t submit_ns = 0;     ///< serve admission (Session::submit)
   std::uint64_t forward_ns = 0;    ///< scheduler enqueued onto the device
-  std::uint64_t dep_ready_ns = 0;  ///< last serve-level dependency finished
+  std::uint64_t dep_ready_ns = 0;  ///< last serve-level dependency forwarded
   std::uint64_t queued_ns = 0;     ///< ProfilingInfo: command enqueued
   std::uint64_t submitted_ns = 0;  ///< ProfilingInfo: wait-list resolved
   std::uint64_t started_ns = 0;    ///< ProfilingInfo: execution began
@@ -150,9 +150,11 @@ struct PathSegments {
 };
 
 /// Pure arithmetic over RequestTimes; saturating, never throws.
-/// Serve-level dependency wait (dep_ready - submit, clamped into the
-/// pre-forward window) and queue-level wait-list wait (submitted - queued)
-/// both count as dependency_ns; admission_ns is the pre-forward remainder.
+/// The serve-side window runs from submit to the command's queued_ns
+/// (forward_ns when the request never reached a queue). Serve-level
+/// dependency wait (dep_ready - submit, clamped into that window) and
+/// queue-level wait-list wait (submitted - queued) both count as
+/// dependency_ns; admission_ns is the window's remainder.
 [[nodiscard]] PathSegments decompose(const RequestTimes& t) noexcept;
 
 /// Records a Kind::Complete entry and feeds the obs.* histograms
@@ -164,8 +166,9 @@ void note_request_complete(std::uint64_t ctx, std::uint32_t tenant,
                            const PathSegments& segs, core::Status status);
 
 /// Optional tee of every Kind::Complete record, for exact (non-bucketed)
-/// percentile work by harnesses like serve_load --obs. Called under the
-/// recorder mutex; keep it cheap. Pass nullptr to clear.
+/// percentile work by harnesses like serve_load --obs. Called under a sink
+/// mutex of its own, never the recorder's, so a slow sink does not stall
+/// record() on the serve forward path. Pass nullptr to clear.
 using CompleteSink = std::function<void(const Record&)>;
 void set_complete_sink(CompleteSink sink);
 

@@ -19,11 +19,15 @@
 //     fusing contiguous small 1D launches of the same kernel/args into one
 //     NDRange — only valid for kernels whose behavior depends on global id
 //     alone, which is why it is opt-in.
+//   - Dependencies: a request is forwarded once each dependency (a ticket
+//     of the same server) is in flight or done; its command's wait list
+//     orders it after them.
 //   - Cancellation/timeouts: every request completes a user event
 //     (AsyncEvent::create_user); cancel/timeout completes it with
 //     Status::Cancelled, which flows to dependents through the event graph's
 //     existing failed-dependency propagation. Timeouts cover the *pending*
-//     phase (admission -> dispatch); once forwarded, a request runs to
+//     phase (admission -> dispatch), which for a dependent ends once its
+//     dependencies are forwarded; once forwarded, a request runs to
 //     completion (use Ticket::wait_for for a client-side timed wait).
 //
 // Lifetime contract: the Server must outlive its Sessions and Tickets'
@@ -157,7 +161,7 @@ struct ServerStats {
 
 /// Handle to one submitted request. Completion is a user event, so tickets
 /// can be waited on, polled, and used as dependencies of later submissions
-/// (including across tenants).
+/// to the same server (including across its tenants).
 class Ticket {
  public:
   Ticket() = default;
@@ -193,7 +197,8 @@ class Session {
 
   /// Admits a launch. Blocks or throws OutOfResources when the stream is
   /// full, per the tenant's AdmissionPolicy; throws InvalidKernelName for
-  /// unknown kernels and InvalidOperation once the server is shutting down.
+  /// unknown kernels, InvalidValue for a dep ticket of another server, and
+  /// InvalidOperation once the server is shutting down.
   Ticket submit(LaunchSpec spec, std::vector<Ticket> deps = {});
   /// Non-blocking submit: nullopt when the stream is full (either policy).
   std::optional<Ticket> try_submit(LaunchSpec spec,
@@ -248,9 +253,11 @@ class Server {
 
   std::shared_ptr<detail::Request> admit(detail::TenantState& tenant,
                                          std::shared_ptr<detail::Request> req,
+                                         const std::vector<Ticket>& deps,
                                          bool blocking, bool* rejected);
   Ticket submit_impl(detail::TenantState& tenant,
-                     std::shared_ptr<detail::Request> req);
+                     std::shared_ptr<detail::Request> req,
+                     const std::vector<Ticket>& deps);
   void run_pass_locked(PassResult& out);
   std::size_t apply_pass(PassResult& pass);
   void finish_item(const ForwardItem& item, core::Status status,

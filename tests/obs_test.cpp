@@ -166,6 +166,29 @@ TEST(ObsDecompose, DependencyClampedToPreForwardWindow) {
   EXPECT_EQ(s.admission_ns, 0u);
 }
 
+TEST(ObsDecompose, ServeWindowEndsAtQueued) {
+  // The scheduler's forward work (forward -> queued) is admission, not an
+  // unattributed gap; a dependency forwarded late in that window clamps to
+  // it.
+  RequestTimes t;
+  t.submit_ns = 100;
+  t.forward_ns = 150;
+  t.queued_ns = 400;
+  t.submitted_ns = 400;
+  t.started_ns = 400;
+  t.ended_ns = 500;
+  t.done_ns = 500;
+  PathSegments s = decompose(t);
+  EXPECT_EQ(s.admission_ns, 300u);
+  EXPECT_EQ(s.named_sum(), s.total_ns);
+
+  t.dep_ready_ns = 900;
+  s = decompose(t);
+  EXPECT_EQ(s.admission_ns, 0u);
+  EXPECT_EQ(s.dependency_ns, 300u);
+  EXPECT_EQ(s.named_sum(), s.total_ns);
+}
+
 // ----- flight-recorder ring ----------------------------------------------------
 
 TEST(ObsRecorder, RingOverwritesOldestAndCountsTotal) {
