@@ -183,19 +183,21 @@ Server::Server(ocl::Context& context, ServerConfig config)
   obs_section_ = obs::register_section(
       "serve", [this] { return obs_section_json(); });
   if (!config_.manual_schedule) {
-    scheduler_ = std::thread([this] { scheduler_loop(); });
+    timer_ = std::thread([this] { timer_loop(); });
   }
 }
 
 Server::~Server() {
   {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
     stop_ = true;
-    signal_ = true;
-    sched_cv_.notify_all();
+    timer_cv_.notify_all();
     for (auto& tenant : tenants_) tenant->space_cv.notify_all();
+    // A completion callback may be mid-forward; let it finish before the
+    // queues drain below.
+    timer_cv_.wait(lock, [this] { return !dispatching_; });
   }
-  if (scheduler_.joinable()) scheduler_.join();
+  if (timer_.joinable()) timer_.join();
 
   // Fail whatever never dispatched, then drain what did. The transitive
   // finish() covers our completion callbacks, so by the time the queues are
@@ -334,8 +336,8 @@ std::shared_ptr<Request> Server::admit(TenantState& tenant,
   tenant.pending.push_back(req);
   tenant.stats.submitted++;
   tenant.stats.outstanding++;
-  signal_ = true;
-  sched_cv_.notify_one();
+  if (req->deadline_ns != 0) timer_cv_.notify_one();
+  dispatch_locked(lock);
   return req;
 }
 
@@ -343,7 +345,7 @@ bool Server::cancel(const Ticket& ticket) {
   core::check(ticket.valid(), core::Status::InvalidOperation, "empty ticket");
   const std::shared_ptr<Request>& req = ticket.req_;
   {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
     if (req->rstate != Request::RState::Pending) return false;
     TenantState& tenant = *req->tenant;
     auto it = std::find(tenant.pending.begin(), tenant.pending.end(), req);
@@ -353,8 +355,7 @@ bool Server::cancel(const Ticket& ticket) {
     tenant.stats.cancelled++;
     tenant.stats.outstanding--;
     tenant.space_cv.notify_all();
-    signal_ = true;
-    sched_cv_.notify_one();
+    dispatch_locked(lock);
   }
   // Record before completing the user event: dependents fail inline below,
   // and the dump (if one fires) should show the cancellation first.
@@ -377,11 +378,11 @@ ServerStats Server::stats() const {
   return out;
 }
 
-std::uint64_t Server::nearest_deadline_locked() const {
+std::uint64_t Server::nearest_deadline_locked(std::uint64_t after) const {
   std::uint64_t nearest = 0;
   for (const auto& tenant : tenants_) {
     for (const auto& req : tenant->pending) {
-      if (req->deadline_ns != 0 &&
+      if (req->deadline_ns > after &&
           (nearest == 0 || req->deadline_ns < nearest)) {
         nearest = req->deadline_ns;
       }
@@ -411,13 +412,18 @@ void Server::run_pass_locked(PassResult& out) {
     }
   }
 
-  // Phase 2: WFQ dispatch while the in-flight window has room. A head is
-  // eligible once none of its dependencies is still Pending. A forwarded
-  // command then waits only on commands already in flight, which finish
-  // without the scheduler or a free slot, so the window cannot deadlock;
-  // a Pending dependency may sit behind the head and keeps blocking it.
-  while (in_flight_ + out.forwards.size() < max_in_flight_) {
+  // Phase 2: start-time fair queueing while the in-flight window has room:
+  // the eligible head with the minimum start tag goes first, ties to the
+  // smaller finish tag. Ranking by finish tag instead would starve a costly
+  // head: its tag stays V + cost/weight while a backlogged cheap tenant
+  // reads about V + 2x its own cost. A head is eligible once none of its
+  // dependencies is still Pending. A forwarded command then waits only on
+  // commands already in flight, which finish without a pass or a free
+  // slot, so the window cannot deadlock; a Pending dependency may sit
+  // behind the head and keeps blocking it.
+  while (in_flight_ < max_in_flight_) {
     TenantState* best = nullptr;
+    double best_start = 0.0;
     double best_tag = 0.0;
     for (auto& tenant : tenants_) {
       if (tenant->pending.empty()) continue;
@@ -444,8 +450,10 @@ void Server::run_pass_locked(PassResult& out) {
       const double start = std::max(virtual_time_, tenant->finish_tag);
       const double tag =
           start + static_cast<double>(head.cost) / tenant->cfg.weight;
-      if (best == nullptr || tag < best_tag) {
+      if (best == nullptr || start < best_start ||
+          (start == best_start && tag < best_tag)) {
         best = tenant.get();
+        best_start = start;
         best_tag = tag;
       }
     }
@@ -453,8 +461,7 @@ void Server::run_pass_locked(PassResult& out) {
 
     ForwardItem item;
     item.tenant = best;
-    const double start = std::max(virtual_time_, best->finish_tag);
-    virtual_time_ = start;
+    virtual_time_ = best_start;
     best->finish_tag = best_tag;
 
     auto head = best->pending.front();
@@ -488,6 +495,8 @@ void Server::run_pass_locked(PassResult& out) {
     for (const auto& req : item.reqs) req->rstate = Request::RState::Forwarded;
     best->stats.forwarded++;
     best->space_cv.notify_all();
+    in_flight_++;
+    forwarded_commands_++;
     out.forwards.push_back(std::move(item));
   }
 }
@@ -498,8 +507,8 @@ void Server::forward(ForwardItem& item) {
 
   // Union of dependencies across the batch, all in flight or done: the wait
   // list orders the command after them and fails it with a failed or
-  // Cancelled one's status. Their forward_ns was stamped earlier on this
-  // thread.
+  // Cancelled one's status. Forwarding is serialized, so their forward_ns
+  // was stamped by an earlier forward().
   std::vector<ocl::AsyncEventPtr> wait_list;
   for (const auto& req : item.reqs) {
     for (const auto& dep : req->deps) {
@@ -667,7 +676,7 @@ void Server::finish_item(const ForwardItem& item, core::Status status,
     }
   }
   {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
     in_flight_--;
     TenantState& tenant = *item.tenant;
     for (const auto& req : item.reqs) {
@@ -680,8 +689,7 @@ void Server::finish_item(const ForwardItem& item, core::Status status,
       }
     }
     tenant.space_cv.notify_all();
-    signal_ = true;
-    sched_cv_.notify_one();
+    dispatch_locked(lock);
   }
 }
 
@@ -710,34 +718,61 @@ std::size_t Server::step() {
   {
     std::lock_guard lock(mutex_);
     run_pass_locked(pass);
-    in_flight_ += pass.forwards.size();
-    forwarded_commands_ += pass.forwards.size();
   }
   return apply_pass(pass);
 }
 
-void Server::scheduler_loop() {
-  std::unique_lock lock(mutex_);
-  while (!stop_) {
+void Server::dispatch_locked(std::unique_lock<std::mutex>& lock) {
+  signal_ = true;
+  if (dispatching_ || config_.manual_schedule || stop_) return;
+  dispatching_ = true;
+  // Cleared however the loop exits (forward() may throw), with the lock
+  // held again; the destructor waits for it.
+  struct Release {
+    Server& server;
+    std::unique_lock<std::mutex>& lock;
+    ~Release() {
+      if (!lock.owns_lock()) lock.lock();
+      server.dispatching_ = false;
+      if (server.stop_) server.timer_cv_.notify_all();
+    }
+  } release{*this, lock};
+  // One dispatcher at a time keeps each tenant's commands reaching its
+  // queue in dispatch order; a signal raised meanwhile (admit, cancel, a
+  // completion, including ones apply_pass runs inline) buys another pass.
+  while (signal_ && !stop_) {
     signal_ = false;
     PassResult pass;
     run_pass_locked(pass);
-    if (!pass.expired.empty() || !pass.forwards.empty()) {
-      in_flight_ += pass.forwards.size();
-      forwarded_commands_ += pass.forwards.size();
-      lock.unlock();
-      apply_pass(pass);
-      lock.lock();
+    if (pass.expired.empty() && pass.forwards.empty()) continue;
+    lock.unlock();
+    apply_pass(pass);
+    lock.lock();
+  }
+}
+
+void Server::timer_loop() {
+  std::unique_lock lock(mutex_);
+  // Deadlines at or before `handled` were due when this thread last
+  // dispatched: that pass, or the one the running dispatcher owes the
+  // signal, expires them.
+  std::uint64_t handled = 0;
+  while (!stop_) {
+    const std::uint64_t deadline = nearest_deadline_locked(handled);
+    const std::uint64_t now = now_ns();
+    if (deadline != 0 && now >= deadline) {
+      handled = now;
+      dispatch_locked(lock);
       continue;
     }
-    const std::uint64_t deadline = nearest_deadline_locked();
+    const auto changed = [&] {
+      return stop_ || nearest_deadline_locked(handled) != deadline;
+    };
     if (deadline == 0) {
-      sched_cv_.wait(lock, [this] { return signal_ || stop_; });
+      timer_cv_.wait(lock, changed);
     } else {
-      const std::uint64_t now = now_ns();
-      const std::uint64_t delta = deadline > now ? deadline - now : 1;
-      sched_cv_.wait_for(lock, std::chrono::nanoseconds(delta),
-                         [this] { return signal_ || stop_; });
+      timer_cv_.wait_for(lock, std::chrono::nanoseconds(deadline - now),
+                         changed);
     }
   }
 }

@@ -2,18 +2,23 @@
 // executor.
 //
 // N client sessions (one per tenant) submit NDRange launches and buffer
-// transfers; the server admits them into bounded per-tenant streams and a
-// single scheduler thread multiplexes them onto per-tenant CommandQueues
-// (all backed by the shared executor thread pool) under weighted fair
-// queueing. The pieces:
+// transfers; the server admits them into bounded per-tenant streams and
+// multiplexes them onto per-tenant CommandQueues (all backed by the shared
+// executor thread pool) under weighted fair queueing. The scheduling pass
+// runs on whichever thread changes server state — a submit, a cancel, a
+// completion callback — so Session::submit may forward its own request
+// before it returns; one thread dispatches at a time, and a deadline timer
+// thread runs the pass when a pending request's deadline falls due. The
+// pieces:
 //
 //   - Admission control: each tenant has a max_queue_depth; a full stream
 //     either blocks the submitter or rejects (OutOfResources), per policy.
 //     Memory per tenant is therefore bounded by depth, never by offered load.
-//   - Weighted fair queueing: start-time fair queueing over per-tenant
-//     virtual finish tags; a tenant's share of dispatched cost converges to
-//     weight_i / sum(weights) whenever it stays backlogged, so a heavy
-//     tenant cannot starve a light one (tests/serve_test.cpp).
+//   - Weighted fair queueing: start-time fair queueing — the head with the
+//     minimum virtual start tag goes first; a tenant's share of dispatched
+//     cost converges to weight_i / sum(weights) whenever it stays
+//     backlogged, so neither a heavy backlog nor a costly head starves
+//     another tenant (tests/serve_test.cpp).
 //   - Kernel caching + batching: kernel descriptors resolve through a
 //     per-tenant cache, and tenants may opt in (batch_max_items > 0) to
 //     fusing contiguous small 1D launches of the same kernel/args into one
@@ -79,7 +84,9 @@ struct TenantConfig {
 
 struct ServerConfig {
   std::size_t max_in_flight = 0;  ///< forwarded-command window; 0 = 2x logical CPUs
-  bool manual_schedule = false;   ///< no scheduler thread; tests drive step()
+  /// No pass runs on its own (no inline dispatch, no deadline timer); the
+  /// caller drives every pass with step().
+  bool manual_schedule = false;
 };
 
 /// One kernel argument, by value: serve requests outlive the caller's stack
@@ -263,8 +270,13 @@ class Server {
   void finish_item(const ForwardItem& item, core::Status status,
                    const ocl::AsyncEvent* event = nullptr);
   void forward(ForwardItem& item);
-  void scheduler_loop();
-  [[nodiscard]] std::uint64_t nearest_deadline_locked() const;
+  /// Runs passes on the calling thread until no new signal arrived, unless
+  /// another thread is already dispatching (manual_schedule: never).
+  void dispatch_locked(std::unique_lock<std::mutex>& lock);
+  void timer_loop();
+  /// Earliest pending deadline later than `after`; 0 when there is none.
+  [[nodiscard]] std::uint64_t nearest_deadline_locked(
+      std::uint64_t after) const;
   [[nodiscard]] std::string obs_section_json() const;
 
   ocl::Context* context_ = nullptr;
@@ -272,9 +284,10 @@ class Server {
   std::size_t max_in_flight_ = 0;
 
   mutable std::mutex mutex_;
-  std::condition_variable sched_cv_;
+  std::condition_variable timer_cv_;  ///< deadline stored; stop; dispatch end
   bool stop_ = false;
-  bool signal_ = false;
+  bool signal_ = false;       ///< state changed since the last pass began
+  bool dispatching_ = false;  ///< a thread is inside dispatch_locked's loop
   std::size_t in_flight_ = 0;
   double virtual_time_ = 0.0;
   std::uint64_t forwarded_commands_ = 0;
@@ -290,7 +303,7 @@ class Server {
   prof::Histogram latency_all_;
   prof::Histogram admission_all_;
   prof::Histogram service_all_;
-  std::thread scheduler_;
+  std::thread timer_;  ///< deadline timer (automatic mode only)
 };
 
 }  // namespace mcl::serve

@@ -222,6 +222,55 @@ TEST(Serve, PendingPhaseTimeoutCancels) {
   EXPECT_EQ(s.stats().outstanding, 0u);
 }
 
+/// Automatic mode: a request queued behind a full window expires at its
+/// deadline, not when the window next frees. The deadline timer runs the
+/// pass; no completion or submit does.
+TEST(Serve, DeadlineExpiresWhileWindowIsFull) {
+  ServeFixture f;
+  // A 1024 x 1024 naive matrix multiply over depth 4096: about 0.1 s on
+  // the fixture's two workers, far longer than the deadline. The buffers
+  // outlive the server, which drains the launch even when an assertion
+  // ends the test early.
+  constexpr unsigned kDim = 1024;
+  constexpr unsigned kDepth = 4096;
+  ocl::Buffer a(ocl::MemFlags::ReadWrite, std::size_t{kDim} * kDepth * 4);
+  ocl::Buffer b(ocl::MemFlags::ReadWrite, std::size_t{kDepth} * kDim * 4);
+  ocl::Buffer c(ocl::MemFlags::ReadWrite, std::size_t{kDim} * kDim * 4);
+  ocl::Buffer in(ocl::MemFlags::ReadWrite, kN * 4);
+  ocl::Buffer out(ocl::MemFlags::ReadWrite, kN * 4);
+  Server server(f.ctx, {.max_in_flight = 1});
+  Session slow = server.create_session({.name = "slow"});
+  Session timed = server.create_session(
+      {.name = "timed", .default_timeout_ns = 1'000'000});  // 1 ms
+  LaunchSpec matmul;
+  matmul.kernel = "matrixmul_naive";
+  matmul.args = {ArgSpec::buf(a),          ArgSpec::buf(b),
+                 ArgSpec::buf(c),          ArgSpec::scalar_of(kDim),
+                 ArgSpec::scalar_of(kDim), ArgSpec::scalar_of(kDepth)};
+  matmul.global = ocl::NDRange{kDim, kDim};
+
+  Ticket long_launch = slow.submit(std::move(matmul));
+  Ticket queued = timed.submit(square_launch(in, out, kN));
+  EXPECT_THROW(queued.wait(), core::Error);
+  EXPECT_FALSE(long_launch.complete()) << "expired only once the window freed";
+  EXPECT_EQ(queued.status(), core::Status::Cancelled);
+  EXPECT_EQ(timed.stats().timed_out, 1u);
+  long_launch.wait();
+}
+
+/// On an idle server the submitting thread runs the pass itself: the
+/// request is forwarded before submit() returns, with no thread hop.
+TEST(Serve, IdleServerForwardsBeforeSubmitReturns) {
+  ServeFixture f;
+  Server server(f.ctx);
+  Session s = server.create_session({.name = "t0"});
+  ocl::Buffer in(ocl::MemFlags::ReadWrite, kN * 4);
+  ocl::Buffer out(ocl::MemFlags::ReadWrite, kN * 4);
+  Ticket t = s.submit(square_launch(in, out, kN));
+  EXPECT_EQ(server.stats().forwarded_commands, 1u);
+  t.wait();
+}
+
 TEST(Serve, TicketWaitForTimesOutWhilePending) {
   ServeFixture f;
   Server server(f.ctx, {.manual_schedule = true});
@@ -440,6 +489,36 @@ TEST(Serve, WfqShareTracksWeights) {
   EXPECT_GE(w3.stats().forwarded, 27u);
   EXPECT_LE(w1.stats().forwarded, 13u);
   // No finish(): the 80 still-pending requests are cancelled by ~Server.
+}
+
+/// Start-time fair queueing: a tenant whose head costs 64x more than a
+/// backlogged light tenant's still gets its turn at once, and another after
+/// the light tenant has dispatched the same cost. Ranking by finish tag
+/// forwarded it only after the light backlog drained.
+TEST(Serve, WfqHeavyCostTenantIsNotStarved) {
+  ServeFixture f;
+  Server server(f.ctx, {.max_in_flight = 1, .manual_schedule = true});
+  Session light =
+      server.create_session({.name = "light", .max_queue_depth = 256});
+  Session heavy = server.create_session({.name = "heavy"});
+  constexpr std::size_t kLightJobs = 128;
+  constexpr std::size_t kLightItems = 64;
+  constexpr std::size_t kHeavyItems = 4096;
+  ocl::Buffer in(ocl::MemFlags::ReadWrite, kHeavyItems * 4);
+  ocl::Buffer out(ocl::MemFlags::ReadWrite, kHeavyItems * 4);
+
+  for (std::size_t i = 0; i < kLightJobs; ++i) {
+    light.submit(square_launch(in, out, kLightItems));
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    heavy.submit(square_launch(in, out, kHeavyItems));
+  }
+  while (light.stats().forwarded < kLightJobs) {
+    ASSERT_GT(server.step(), 0u) << "scheduler stalled";
+    drain_in_flight(server);
+  }
+  EXPECT_GE(heavy.stats().forwarded, 2u);
+  // No finish(): ~Server cancels the heavy requests still pending.
 }
 
 // ----- batching ------------------------------------------------------------------
