@@ -162,8 +162,7 @@ template <class RangeBody>
 threading::RunStats run_at_width(threading::ThreadPool& pool,
                                  threading::WorkerSpan span, std::size_t width,
                                  std::size_t count, const RangeBody& fn,
-                                 std::size_t chunk,
-                                 threading::ScheduleStrategy scheduler) {
+                                 std::size_t chunk) {
   if (width <= 1) {
     const core::TimePoint t0 = core::now();
     fn(std::size_t{0}, count);
@@ -174,7 +173,7 @@ threading::RunStats run_at_width(threading::ThreadPool& pool,
             .busy_seconds = core::elapsed_s(t0, core::now())};
   }
   return pool.parallel_ranges_on({span.begin, span.begin + width - 1}, count,
-                                 fn, chunk, scheduler);
+                                 fn, chunk);
 }
 
 }  // namespace
@@ -323,7 +322,6 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
   ExecutorKind exec_kind = config_.executor;
   NDRange launch_local = resolved_local;
   std::size_t chunk_divisor = 16;
-  threading::ScheduleStrategy scheduler = config_.scheduler;
   std::optional<tune::Decision> tuned;
   if (tune::enabled() && config_.executor == ExecutorKind::Auto &&
       !config_.dispatch_order) {
@@ -342,7 +340,6 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
         launch_local = tuned->config.local;
       }
       chunk_divisor = tuned->config.chunk_divisor;
-      scheduler = tuned->config.scheduler;
     }
   }
 
@@ -396,7 +393,7 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
         [&runner](std::size_t begin, std::size_t end) {
           runner.run_groups(begin, end);
         },
-        chunk, scheduler);
+        chunk);
   } else {
     // Instrumented launch: a trace span per workgroup tagged (group id,
     // worker id, estimated bytes touched) under an enclosing per-kernel
@@ -431,7 +428,7 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
         [&run_group](std::size_t begin, std::size_t end) {
           for (std::size_t g = begin; g < end; ++g) run_group(g);
         },
-        chunk, scheduler);
+        chunk);
   }
   result.seconds = core::elapsed_s(t0, core::now());
   impl_->widths.record(shape, result.schedule.busy_seconds);

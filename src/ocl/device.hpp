@@ -80,9 +80,6 @@ struct CpuDeviceConfig {
   bool pin_workers = false;     ///< pin worker i to logical CPU i
   ExecutorKind executor = ExecutorKind::Auto;
   std::size_t fiber_stack_bytes = 64 * 1024;
-  /// Workgroup distribution policy (see threading::ScheduleStrategy and
-  /// bench/ablation_scheduler).
-  threading::ScheduleStrategy scheduler = threading::kDefaultSchedule;
   /// Deterministic dispatch-order hook (mclcheck's metamorphic transform):
   /// when set, launch() bypasses the pool and executes workgroups serially
   /// on the calling thread, running linear group order(k, total) at step k.

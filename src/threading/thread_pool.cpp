@@ -136,12 +136,6 @@ constexpr std::uint32_t range_end(std::uint64_t packed) {
 
 ThreadPool::Range ThreadPool::claim(Batch& batch, std::size_t slot,
                                     bool may_steal) {
-  if (batch.strategy == ScheduleStrategy::CentralCounter) {
-    const std::size_t begin =
-        batch.next.fetch_add(batch.chunk, std::memory_order_relaxed);
-    if (begin >= batch.count) return {};
-    return {begin, std::min(begin + batch.chunk, batch.count)};
-  }
   // The owner's front claim and a thief's steal both CAS the slot word, so
   // no index is ever claimed twice.
   std::atomic<std::uint64_t>& own = batch.slots[slot].range;
@@ -203,7 +197,7 @@ void ThreadPool::drain_batch(Batch& batch, std::size_t slot, Range first) {
   const std::uint64_t t0 = core::steady_now_ns();
   std::size_t executed = 0;
   for (Range r = first; !r.empty(); r = claim(batch, slot, true)) {
-    (*batch.fn)(r.begin, r.end);
+    (*batch.fn)(batch.base + r.begin, batch.base + r.end);
     executed += r.end - r.begin;
   }
   Slot& own = batch.slots[slot];
@@ -213,24 +207,17 @@ void ThreadPool::drain_batch(Batch& batch, std::size_t slot, Range first) {
 }
 
 RunStats ThreadPool::parallel_run(std::size_t count, const IndexFn& fn,
-                                  std::size_t chunk, ScheduleStrategy strategy) {
-  return parallel_run_on({0, workers_.size()}, count, fn, chunk, strategy);
-}
-
-RunStats ThreadPool::parallel_run_on(WorkerSpan span, std::size_t count,
-                                     const IndexFn& fn, std::size_t chunk,
-                                     ScheduleStrategy strategy) {
+                                  std::size_t chunk) {
   return parallel_ranges_on(
-      span, count,
+      {0, workers_.size()}, count,
       [&fn](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) fn(i);
       },
-      chunk, strategy);
+      chunk);
 }
 
 RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
-                                        const RangeFn& fn, std::size_t chunk,
-                                        ScheduleStrategy strategy) {
+                                        const RangeFn& fn, std::size_t chunk) {
   if (count == 0) return {};
   if (chunk == 0) chunk = 1;
   span.end = std::min(span.end, workers_.size());
@@ -238,28 +225,65 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
   MCL_TRACE_SCOPE("pool.batch", "count,chunk,span", count, chunk, span.size());
   MCL_PROF_COUNT("pool.batches", 1);
   MCL_PROF_HIST("pool.batch_groups", count);
+  // Slot ranges pack into 32 bits, so a larger count runs as consecutive
+  // sub-batches; each slot's work adds up into the first one's tally.
+  constexpr std::size_t kMaxBatch = 0xffffffffu;
+  const std::shared_ptr<Batch> batch =
+      run_batch(span, 0, std::min(count, kMaxBatch), fn, chunk);
+  for (std::size_t base = kMaxBatch; base < count; base += kMaxBatch) {
+    const std::shared_ptr<Batch> sub =
+        run_batch(span, base, std::min(count - base, kMaxBatch), fn, chunk);
+    for (std::size_t s = 0; s < batch->slots.size(); ++s) {
+      batch->slots[s].executed.fetch_add(
+          sub->slots[s].executed.load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+      batch->slots[s].busy_ns.fetch_add(
+          sub->slots[s].busy_ns.load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+    }
+  }
+
+  RunStats stats;
+  stats.width = batch->slots.size();
+  std::size_t total = 0;
+  for (const Slot& slot : batch->slots) {
+    const std::size_t v = slot.executed.load(std::memory_order_relaxed);
+    if (v == 0) continue;
+    ++stats.participants;
+    stats.busy_seconds +=
+        static_cast<double>(slot.busy_ns.load(std::memory_order_relaxed)) *
+        1e-9;
+    total += v;
+    stats.max_per_participant = std::max(stats.max_per_participant, v);
+  }
+  if (stats.participants > 0) {
+    stats.imbalance = static_cast<double>(stats.max_per_participant) *
+                      static_cast<double>(stats.participants) /
+                      static_cast<double>(total);
+  }
+  return stats;
+}
+
+std::shared_ptr<ThreadPool::Batch> ThreadPool::run_batch(WorkerSpan span,
+                                                         std::size_t base,
+                                                         std::size_t count,
+                                                         const RangeFn& fn,
+                                                         std::size_t chunk) {
   auto batch = std::make_shared<Batch>();
-  batch->count = count;
+  batch->base = base;
   batch->chunk = chunk;
   batch->span_begin = span.begin;
   batch->fn = &fn;
-  batch->strategy = strategy;
   const std::size_t nslots = span.size() + 1;  // span workers + caller
   batch->slots = std::vector<Slot>(nslots);
-  // WorkStealing's count must fit the packed 32-bit ranges.
-  if (strategy == ScheduleStrategy::WorkStealing && count >= (1ull << 32)) {
-    batch->strategy = ScheduleStrategy::CentralCounter;
-  }
-  if (batch->strategy == ScheduleStrategy::WorkStealing) {
-    const std::size_t per = count / nslots;
-    const std::size_t extra = count % nslots;
-    std::size_t begin = 0;
-    for (std::size_t s = 0; s < nslots; ++s) {
-      const std::size_t len = per + (s < extra ? 1 : 0);
-      batch->slots[s].range.store(pack_range(begin, begin + len),
-                                  std::memory_order_relaxed);
-      begin += len;
-    }
+  const std::size_t per = count / nslots;
+  const std::size_t extra = count % nslots;
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < nslots; ++s) {
+    const std::size_t len = per + (s < extra ? 1 : 0);
+    batch->slots[s].range.store(pack_range(begin, begin + len),
+                                std::memory_order_relaxed);
+    begin += len;
   }
 
   // Claim the caller's first range before any worker can see the batch, so
@@ -300,26 +324,7 @@ RunStats ThreadPool::parallel_ranges_on(WorkerSpan span, std::size_t count,
       if (worker_state_[i].batch == batch) worker_state_[i].batch.reset();
     }
   }
-
-  RunStats stats;
-  stats.width = nslots;
-  std::size_t total = 0;
-  for (const Slot& slot : batch->slots) {
-    const std::size_t v = slot.executed.load(std::memory_order_relaxed);
-    if (v == 0) continue;
-    ++stats.participants;
-    stats.busy_seconds +=
-        static_cast<double>(slot.busy_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    total += v;
-    stats.max_per_participant = std::max(stats.max_per_participant, v);
-  }
-  if (stats.participants > 0) {
-    stats.imbalance = static_cast<double>(stats.max_per_participant) *
-                      static_cast<double>(stats.participants) /
-                      static_cast<double>(total);
-  }
-  return stats;
+  return batch;
 }
 
 void ThreadPool::wait_idle() {

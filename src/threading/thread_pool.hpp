@@ -6,14 +6,16 @@
 //    once per claimed chunk, and wait. This is the path NDRange launches
 //    take: one index = one workgroup, and the device runs a whole chunk per
 //    call, so per-group setup is paid once per chunk while the per-claim
-//    scheduling cost stays real and measurable. By default each participant
-//    owns a fixed contiguous slice of the range and claims chunks from its
-//    front; an idle participant steals from another's slice (the
-//    range-per-task scheme CPU OpenCL runtimes use). Slices depend only on
-//    count and span, so repeated launches of one size give every thread the
-//    same groups, and their data stays in that thread's private caches
-//    (paper Fig 9; TBB's affinity_partitioner). parallel_run() and
-//    parallel_run_on() are per-index adapters over the same path.
+//    scheduling cost stays real and measurable. Each participant owns a
+//    fixed contiguous slice of the range and claims chunks from its front;
+//    an idle participant steals the upper half of another's remaining
+//    slice, or its last chunk when the remainder is too small to split (the
+//    range-per-task scheme CPU OpenCL runtimes use, TBB-style stealing).
+//    Slices depend only on count and span, so repeated launches of one size
+//    give every thread the same groups, and their data stays in that
+//    thread's private caches (paper Fig 9; TBB's affinity_partitioner).
+//    This is the pool's only workgroup distribution. parallel_run() is a
+//    per-index adapter over the same path.
 #pragma once
 
 #include <array>
@@ -29,26 +31,6 @@
 #include <vector>
 
 namespace mcl::threading {
-
-/// How parallel_run distributes indices over workers.
-enum class ScheduleStrategy {
-  /// One shared atomic counter; workers pop chunks from it in arrival
-  /// order. Every claim contends on one cache line, and a repeated launch
-  /// hands each thread different indices than the last one did. Kept as a
-  /// tuner choice.
-  CentralCounter,
-  /// Per-participant contiguous slices, the same on every launch of the
-  /// same count and span; an idle participant steals the upper half of a
-  /// victim's remaining range, or its last chunk when the remainder is too
-  /// small to split (TBB-style). The default.
-  WorkStealing,
-};
-
-/// The distribution every launch uses unless a caller or the tuner picks
-/// another: the pool's default argument, CpuDeviceConfig::scheduler and
-/// tune::TunedConfig::scheduler.
-inline constexpr ScheduleStrategy kDefaultSchedule =
-    ScheduleStrategy::WorkStealing;
 
 /// Per-batch execution statistics (load balance across participants).
 struct RunStats {
@@ -67,8 +49,8 @@ struct RunStats {
 
 /// Half-open range [begin, end) of worker indices — the unit of pool
 /// sharding. A sub-device owns one span; spans of sibling sub-devices are
-/// disjoint, so their batches never share a worker (and WorkStealing never
-/// steals across shards: steal victims are slots of the same batch).
+/// disjoint, so their batches never share a worker (and a steal never
+/// crosses shards: steal victims are slots of the same batch).
 struct WorkerSpan {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -102,35 +84,29 @@ class ThreadPool {
 
   /// Runs fn over a partition of [0, count) into ranges of at most `chunk`
   /// indices, on the workers of `span` plus the calling thread, returning
-  /// when every index completed. One call covers one claim: a counter pop
-  /// (CentralCounter) or an owner/thief claim (WorkStealing). Under
-  /// WorkStealing the caller owns slot 0 and worker i slot
-  /// i - span.begin + 1; slot s starts at s * (count / slots) +
-  /// min(s, count % slots). Each participant's first call starts at its
-  /// own slot's start, and a participant whose slot thieves emptied before
-  /// it arrived runs nothing. The calling thread always participates and
-  /// guarantees completion even if every spanned worker is busy elsewhere.
-  /// Only the workers of `span` are woken; the rest keep sleeping.
-  /// Concurrent calls on disjoint spans proceed in parallel with disjoint
-  /// worker sets — the sub-device sharding substrate. Concurrent calls on
-  /// overlapping spans are safe but contend: a worker helps one batch at a
-  /// time, and each caller finishes its own batch regardless. Not
-  /// reentrant: do not call it from inside fn. WorkStealing supports counts
-  /// < 2^32. Returns load-balance statistics counted in indices, not calls.
+  /// when every index completed. One call covers one owner or thief claim.
+  /// The caller owns slot 0 and worker i slot i - span.begin + 1; slot s
+  /// starts at s * (count / slots) + min(s, count % slots). Each
+  /// participant's first call starts at its own slot's start, and a
+  /// participant whose slot thieves emptied before it arrived runs nothing.
+  /// A count of 2^32 or more runs as consecutive sub-batches of fewer than
+  /// 2^32 indices each, split the same way; fn still sees indices of
+  /// [0, count). The calling thread always participates and guarantees
+  /// completion even if every spanned worker is busy elsewhere. Only the
+  /// workers of `span` are woken; the rest keep sleeping. Concurrent calls
+  /// on disjoint spans proceed in parallel with disjoint worker sets — the
+  /// sub-device sharding substrate. Concurrent calls on overlapping spans
+  /// are safe but contend: a worker helps one batch at a time, and each
+  /// caller finishes its own batch regardless. Not reentrant: do not call
+  /// it from inside fn. Returns load-balance statistics counted in indices,
+  /// not calls, over the whole count.
   RunStats parallel_ranges_on(WorkerSpan span, std::size_t count,
-                              const RangeFn& fn, std::size_t chunk = 1,
-                              ScheduleStrategy strategy = kDefaultSchedule);
+                              const RangeFn& fn, std::size_t chunk = 1);
 
   /// Per-index adapter: runs fn(i) for every i in [0, count) over the whole
   /// pool, with parallel_ranges_on's claiming and statistics.
   RunStats parallel_run(std::size_t count, const IndexFn& fn,
-                        std::size_t chunk = 1,
-                        ScheduleStrategy strategy = kDefaultSchedule);
-
-  /// parallel_run restricted to the workers of `span`.
-  RunStats parallel_run_on(WorkerSpan span, std::size_t count,
-                           const IndexFn& fn, std::size_t chunk = 1,
-                           ScheduleStrategy strategy = kDefaultSchedule);
+                        std::size_t chunk = 1);
 
   /// Index of the calling thread within THIS pool's workers, or -1 when the
   /// caller is not one of this pool's workers (other pools' workers included:
@@ -153,8 +129,8 @@ class ThreadPool {
   /// workers plus the caller, so steals stay inside the shard by
   /// construction.
   struct Slot {
-    // WorkStealing's packed range (next:32 | end:32). Only the slot's owner
-    // advances `next`; thieves only lower `end`.
+    // Packed range (next:32 | end:32). Only the slot's owner advances
+    // `next`; thieves only lower `end`.
     std::atomic<std::uint64_t> range{0};
     // Indices the slot's owner executed and the nanoseconds it spent on
     // them, written before it adds to `done`.
@@ -162,14 +138,14 @@ class ThreadPool {
     std::atomic<std::uint64_t> busy_ns{0};
   };
 
+  /// One sub-batch: fn sees base + each claimed range, so slot ranges stay
+  /// 32-bit whatever the call's count.
   struct Batch {
-    std::atomic<std::size_t> next{0};  // CentralCounter's shared counter
     std::atomic<std::size_t> done{0};
-    std::size_t count = 0;
+    std::size_t base = 0;
     std::size_t chunk = 1;
     std::size_t span_begin = 0;  // worker i owns slot i - span_begin + 1
     const RangeFn* fn = nullptr;
-    ScheduleStrategy strategy = kDefaultSchedule;
     std::vector<Slot> slots;
   };
 
@@ -188,14 +164,18 @@ class ThreadPool {
   /// Wakes the workers whose bits are set in `mask`, in one system call.
   void wake(std::uint32_t mask) noexcept;
 
-  /// Claims the next range for the owner of `slot`: a counter pop, or the
-  /// front chunk of the slot's range, refilled by a steal when it is empty
-  /// and `may_steal` is set.
+  /// Claims the front chunk of `slot`'s range for its owner, refilling the
+  /// slot by a steal when it is empty and `may_steal` is set.
   static Range claim(Batch& batch, std::size_t slot, bool may_steal);
   /// Moves part of another slot's remaining range into the empty `slot`.
   static bool steal_into(Batch& batch, std::size_t slot);
   /// Runs `first` and every later claim of `slot`, then reports them.
   static void drain_batch(Batch& batch, std::size_t slot, Range first);
+  /// Publishes [base, base + count) (count < 2^32) to the workers of `span`,
+  /// runs it with them, and returns it once every index completed.
+  std::shared_ptr<Batch> run_batch(WorkerSpan span, std::size_t base,
+                                   std::size_t count, const RangeFn& fn,
+                                   std::size_t chunk);
 
   void worker_loop(std::size_t worker_index, bool pin);
 

@@ -2,15 +2,16 @@
 //
 // Text format (one token stream per line, space-separated):
 //
-//   mcltune v3
+//   mcltune v4
 //   row <key-with-spaces-escaped> <generation> <dims> <l0> <l1> <l2>
-//       <exec> <chunk_div> <sched> <best_ns>
+//       <exec> <chunk_div> <best_ns>
 //   ...
 //   checksum <fnv1a64-hex-of-all-preceding-bytes>
 //
 // (v2: the entry key grew a |aB local-memory-args suffix; v3: the row lost
-// its map-vs-copy column. Files of an older version are rejected whole, so
-// an old key or column layout is never misread.)
+// its map-vs-copy column; v4: the row lost its scheduler column, since the
+// pool has one workgroup distribution. Files of an older version are
+// rejected whole, so an old key or column layout is never misread.)
 //
 // Only CONVERGED entries are saved — a warm process loads rows as converged
 // single-candidate entries and therefore never explores (the tune.explore==0
@@ -45,7 +46,7 @@
 namespace mcl::tune {
 namespace {
 
-constexpr const char* kHeader = "mcltune v3";
+constexpr const char* kHeader = "mcltune v4";
 
 std::uint64_t fnv1a64_bytes(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -94,9 +95,7 @@ bool Tuner::save_cache(const std::string& path) const {
            << cfg.local.dims << " " << cfg.local.size[0] << " "
            << cfg.local.size[1] << " " << cfg.local.size[2] << " "
            << executor_code(cfg.executor) << " " << cfg.chunk_divisor << " "
-           << (cfg.scheduler == threading::ScheduleStrategy::WorkStealing ? 1
-                                                                          : 0)
-           << " " << static_cast<std::uint64_t>(best.best_seconds * 1e9)
+           << static_cast<std::uint64_t>(best.best_seconds * 1e9)
            << "\n";
     }
   }
@@ -170,10 +169,10 @@ std::size_t Tuner::load_cache(const std::string& path) {
     std::string tag, key;
     std::uint64_t generation = 0;
     std::size_t dims = 0, l0 = 0, l1 = 0, l2 = 0, chunk_div = 0;
-    int exec_code = 0, steal = 0;
+    int exec_code = 0;
     std::uint64_t best_ns = 0;
     if (!(row >> tag >> key >> generation >> dims >> l0 >> l1 >> l2 >>
-          exec_code >> chunk_div >> steal >> best_ns) ||
+          exec_code >> chunk_div >> best_ns) ||
         tag != "row" || dims > 3 || chunk_div == 0) {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.cache_rows_rejected;
@@ -190,8 +189,6 @@ std::size_t Tuner::load_cache(const std::string& path) {
     cfg.local.size[1] = dims > 1 ? l1 : (dims > 0 ? 1 : 0);
     cfg.local.size[2] = dims > 2 ? l2 : (dims > 0 ? 1 : 0);
     cfg.chunk_divisor = chunk_div;
-    cfg.scheduler = steal != 0 ? threading::ScheduleStrategy::WorkStealing
-                               : threading::ScheduleStrategy::CentralCounter;
 
     // Generation guard: the row's kernel name is the key prefix up to '|'.
     const std::string kernel = key.substr(0, key.find('|'));

@@ -13,11 +13,10 @@
 //      architecture-independent feature set of Chilukuri & Milthorpe;
 //   2. a cost model seeded from those features ranks candidate configs
 //      (workgroup size, executor {loop/fiber/simd; Checked excluded}, chunk
-//      divisor, dispatch order, map-vs-copy plan), pruning every candidate
-//      veclegal/mclverify legality rules reject (barrier kernels never get
-//      Loop/Simd, Simd needs a registered simd form, locals must divide the
-//      global size, kernels with local-memory args keep their caller-sized
-//      local);
+//      divisor), pruning every candidate veclegal/mclverify legality rules
+//      reject (barrier kernels never get Loop/Simd, Simd needs a registered
+//      simd form, locals must divide the global size, kernels with
+//      local-memory args keep their caller-sized local);
 //   3. online refinement from repeated-launch timing via a bounded
 //      explore/exploit policy: round-robin trials over the top-ranked
 //      candidates, epsilon-greedy afterwards, with a regression guard that
@@ -44,7 +43,6 @@
 
 #include "ocl/kernel.hpp"
 #include "ocl/types.hpp"
-#include "threading/thread_pool.hpp"
 
 namespace mcl::tune {
 
@@ -65,8 +63,6 @@ struct TunedConfig {
   /// Replaces the launch path's fixed divisor in
   /// chunk = clamp(total_groups / (threads * chunk_divisor), 1, 64).
   std::size_t chunk_divisor = 16;
-  /// Workgroup dispatch order (the paper's scheduling axis).
-  threading::ScheduleStrategy scheduler = threading::kDefaultSchedule;
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -225,7 +221,7 @@ class Tuner {
   [[nodiscard]] TunerStats stats() const;
   void reset_stats();
 
-  /// Persists every converged entry: "mcltune v2" header, one row per
+  /// Persists every converged entry: "mcltune v4" header, one row per
   /// entry carrying the kernel's IR generation, FNV-1a checksum trailer.
   /// Written to <path>.tmp.<pid> then renamed (concurrent-writer safe).
   [[nodiscard]] bool save_cache(const std::string& path) const;

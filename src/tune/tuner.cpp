@@ -17,7 +17,6 @@
 #include "obs/obs.hpp"
 #include "prof/metrics.hpp"
 #include "simd/vec.hpp"
-#include "threading/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "tune/tune.hpp"
 #include "veclegal/kernel_ir.hpp"
@@ -211,9 +210,7 @@ std::string TunedConfig::to_string() const {
     case ocl::ExecutorKind::Simd: out << "simd"; break;
     case ocl::ExecutorKind::Checked: out << "checked"; break;
   }
-  out << " chunk_div=" << chunk_divisor << " sched="
-      << (scheduler == threading::ScheduleStrategy::CentralCounter ? "central"
-                                                                   : "steal");
+  out << " chunk_div=" << chunk_divisor;
   return out.str();
 }
 
@@ -265,12 +262,6 @@ double score_candidate(const TunedConfig& cfg, const Features& feats,
     score += 0.25;
   }
   if (irregular && cfg.chunk_divisor <= 4) score -= 0.25;
-
-  // Dispatch-order axis: the default's stable per-thread slices hand a
-  // repeated launch the groups, and so the cached data, each thread had
-  // last time (paper Fig 9); the central counter's arrival-order claims
-  // lose that on every kernel.
-  if (cfg.scheduler != threading::kDefaultSchedule) score -= 0.25;
   return score;
 }
 
@@ -294,25 +285,16 @@ std::vector<TunedConfig> enumerate_candidates(const ocl::KernelDef& def,
     chunk_divs.push_back(4);
     chunk_divs.push_back(64);
   }
-  // The central counter is worth a trial only where its arrival-order
-  // balancing has a few groups per thread to work with.
-  std::vector<threading::ScheduleStrategy> scheds{threading::kDefaultSchedule};
-  if (groups_est >= threads * 2) {
-    scheds.push_back(threading::ScheduleStrategy::CentralCounter);
-  }
 
   std::vector<TunedConfig> out;
   for (const ocl::ExecutorKind exec : execs) {
     for (const ocl::NDRange& l : locals) {
       for (const std::size_t cd : chunk_divs) {
-        for (const threading::ScheduleStrategy sched : scheds) {
-          TunedConfig cfg;
-          cfg.local = l;
-          cfg.executor = exec;
-          cfg.chunk_divisor = cd;
-          cfg.scheduler = sched;
-          out.push_back(cfg);
-        }
+        TunedConfig cfg;
+        cfg.local = l;
+        cfg.executor = exec;
+        cfg.chunk_divisor = cd;
+        out.push_back(cfg);
       }
     }
   }

@@ -50,8 +50,9 @@ TEST(Integration, WorkitemCoalescingSpeedsUpCpu) {
   // Fig 1 mechanism at test scale: 64x fewer, 64x fatter workitems must
   // not be slower (in practice: substantially faster) than one-item
   // workitems for Square. The factor divides n, so the coalesced launch
-  // really covers n items (a factor like 100 leaves 2621 items, a prime,
-  // which the NULL local splits into one-item groups).
+  // really covers n items. Both sides run the same explicit small local, as
+  // in the paper's Fig 1: a NULL local would let the runtime pick large
+  // groups for the base launch, coalescing its work before the kernel does.
   if (MCL_UNDER_ASAN) GTEST_SKIP() << "timing ratio not meaningful under ASan";
   ocl::CpuDevice device;
   Context ctx(device);
@@ -72,6 +73,7 @@ TEST(Integration, WorkitemCoalescingSpeedsUpCpu) {
     return k;
   };
   const unsigned per_item = 64;
+  const NDRange local{16};
   const Kernel base_k = kernel_for(1);
   const Kernel coal_k = kernel_for(per_item);
   // The two launches alternate and each side reports its median, so a
@@ -79,9 +81,9 @@ TEST(Integration, WorkitemCoalescingSpeedsUpCpu) {
   // instead of deciding the verdict.
   std::vector<double> base_s, coal_s;
   for (int i = 0; i < 300; ++i) {
-    const double b = q.enqueue_ndrange(base_k, NDRange{n}, NDRange{}).seconds;
+    const double b = q.enqueue_ndrange(base_k, NDRange{n}, local).seconds;
     const double c =
-        q.enqueue_ndrange(coal_k, NDRange{n / per_item}, NDRange{}).seconds;
+        q.enqueue_ndrange(coal_k, NDRange{n / per_item}, local).seconds;
     if (i < 20) continue;  // warm-up
     base_s.push_back(b);
     coal_s.push_back(c);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -9,6 +10,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "prof/metrics.hpp"
@@ -281,7 +283,7 @@ TEST(Fiber, StacksSurviveDeepUsage) {
 }  // namespace
 }  // namespace mcl::threading
 
-// --- work-stealing schedule strategy -----------------------------------------------
+// --- work stealing ---------------------------------------------------------------
 
 namespace mcl::threading {
 namespace {
@@ -290,8 +292,7 @@ TEST(WorkStealing, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 20'000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_run(kN, [&](std::size_t i) { hits[i].fetch_add(1); }, 1,
-                    ScheduleStrategy::WorkStealing);
+  pool.parallel_run(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
@@ -299,8 +300,7 @@ TEST(WorkStealing, ChunkedAndUnevenCounts) {
   ThreadPool pool(3);
   for (std::size_t n : {1u, 7u, 100u, 1003u}) {
     std::atomic<std::size_t> sum{0};
-    pool.parallel_run(n, [&](std::size_t i) { sum.fetch_add(i + 1); }, 16,
-                      ScheduleStrategy::WorkStealing);
+    pool.parallel_run(n, [&](std::size_t i) { sum.fetch_add(i + 1); }, 16);
     ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "n=" << n;
   }
 }
@@ -319,7 +319,7 @@ TEST(WorkStealing, SkewedWorkloadStillCompletes) {
         }
         hits[i].fetch_add(1);
       },
-      1, ScheduleStrategy::WorkStealing);
+      1);
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 
@@ -327,8 +327,7 @@ TEST(WorkStealing, RepeatedBatchesStayExact) {
   ThreadPool pool(4);
   for (int round = 0; round < 30; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.parallel_run(257, [&](std::size_t i) { sum.fetch_add(i); }, 4,
-                      ScheduleStrategy::WorkStealing);
+    pool.parallel_run(257, [&](std::size_t i) { sum.fetch_add(i); }, 4);
     ASSERT_EQ(sum.load(), 256u * 257u / 2u) << "round " << round;
   }
 }
@@ -362,8 +361,7 @@ TEST(WorkStealing, CallerFinishesWhileAWorkerIsHeld) {
   constexpr std::size_t kN = 100;
   std::vector<std::atomic<int>> hits(kN);
   const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_run(kN, [&](std::size_t i) { hits[i].fetch_add(1); }, 8,
-                    ScheduleStrategy::WorkStealing);
+  pool.parallel_run(kN, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   const bool finished_while_held = !task_done.load();
   {
@@ -389,15 +387,11 @@ namespace {
 
 TEST(RunStatistics, AllIndicesAccounted) {
   ThreadPool pool(3);
-  for (ScheduleStrategy s :
-       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
-    const RunStats stats =
-        pool.parallel_run(1000, [](std::size_t) {}, 8, s);
-    EXPECT_GE(stats.participants, 1u);
-    EXPECT_LE(stats.participants, 4u);  // 3 workers + caller
-    EXPECT_GE(stats.max_per_participant, 1000u / 4u);
-    EXPECT_GE(stats.imbalance, 1.0);
-  }
+  const RunStats stats = pool.parallel_run(1000, [](std::size_t) {}, 8);
+  EXPECT_GE(stats.participants, 1u);
+  EXPECT_LE(stats.participants, 4u);  // 3 workers + caller
+  EXPECT_GE(stats.max_per_participant, 1000u / 4u);
+  EXPECT_GE(stats.imbalance, 1.0);
 }
 
 TEST(RunStatistics, SingleParticipantPerfectlyBalanced) {
@@ -432,11 +426,11 @@ std::size_t stats_total(const RunStats& s) {
                    static_cast<double>(s.participants) / s.imbalance));
 }
 
-/// Runs parallel_ranges_on(span, count, chunk, strategy) and checks that
+/// Runs parallel_ranges_on(span, count, chunk) and checks that
 /// every index ran exactly once, that every call was a non-empty range of
 /// at most `chunk` indices, and that RunStats counts `count` indices.
 void expect_ranges_cover(ThreadPool& pool, WorkerSpan span, std::size_t count,
-                         std::size_t chunk, ScheduleStrategy strategy) {
+                         std::size_t chunk) {
   std::vector<std::atomic<int>> hits(count);
   std::atomic<int> bad_ranges{0};
   std::atomic<std::size_t> calls{0};
@@ -450,10 +444,9 @@ void expect_ranges_cover(ThreadPool& pool, WorkerSpan span, std::size_t count,
         }
         for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
       },
-      chunk, strategy);
+      chunk);
   const std::string where =
-      "count=" + std::to_string(count) + " chunk=" + std::to_string(chunk) +
-      (strategy == ScheduleStrategy::WorkStealing ? " stealing" : " central");
+      "count=" + std::to_string(count) + " chunk=" + std::to_string(chunk);
   EXPECT_EQ(bad_ranges.load(), 0) << where;
   for (std::size_t i = 0; i < count; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << where << " index " << i;
@@ -465,83 +458,92 @@ void expect_ranges_cover(ThreadPool& pool, WorkerSpan span, std::size_t count,
 
 TEST(ThreadPool, RangesCoverEveryIndexOnce) {
   ThreadPool pool(3);
-  for (ScheduleStrategy s :
-       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
-    for (std::size_t chunk : {1u, 7u, 64u}) {
-      for (std::size_t count : {1u, 6u, 7u, 64u, 1003u}) {
-        expect_ranges_cover(pool, {0, pool.thread_count()}, count, chunk, s);
-      }
+  for (std::size_t chunk : {1u, 7u, 64u}) {
+    for (std::size_t count : {1u, 6u, 7u, 64u, 1003u}) {
+      expect_ranges_cover(pool, {0, pool.thread_count()}, count, chunk);
     }
   }
 }
 
 TEST(ThreadPool, RangesChunkLargerThanCount) {
   ThreadPool pool(2);
-  for (ScheduleStrategy s :
-       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
-    expect_ranges_cover(pool, {0, pool.thread_count()}, 50, 500, s);
-  }
-  // Under the central counter the first claim takes everything: one call.
-  std::atomic<int> calls{0};
-  pool.parallel_ranges_on({0, pool.thread_count()}, 50,
-                          [&](std::size_t begin, std::size_t end) {
-                            calls.fetch_add(1);
-                            EXPECT_EQ(begin, 0u);
-                            EXPECT_EQ(end, 50u);
-                          },
-                          500, ScheduleStrategy::CentralCounter);
-  EXPECT_EQ(calls.load(), 1);
+  expect_ranges_cover(pool, {0, pool.thread_count()}, 50, 500);
 }
 
 TEST(ThreadPool, RangesStayInsideSubSpan) {
   ThreadPool pool(4);
   const WorkerSpan span{1, 3};
-  for (ScheduleStrategy s :
-       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
-    for (std::size_t chunk : {1u, 7u, 64u}) {
-      expect_ranges_cover(pool, span, 2000, chunk, s);
-      std::atomic<int> outside{0};
-      pool.parallel_ranges_on(
-          span, 2000,
-          [&](std::size_t, std::size_t) {
-            const int w = pool.worker_index_here();
-            // -1 is the calling thread, which always participates.
-            if (w != -1 && !span.contains(static_cast<std::size_t>(w))) {
-              outside.fetch_add(1);
-            }
-          },
-          chunk, s);
-      EXPECT_EQ(outside.load(), 0) << "chunk " << chunk;
-    }
+  for (std::size_t chunk : {1u, 7u, 64u}) {
+    expect_ranges_cover(pool, span, 2000, chunk);
+    std::atomic<int> outside{0};
+    pool.parallel_ranges_on(
+        span, 2000,
+        [&](std::size_t, std::size_t) {
+          const int w = pool.worker_index_here();
+          // -1 is the calling thread, which always participates.
+          if (w != -1 && !span.contains(static_cast<std::size_t>(w))) {
+            outside.fetch_add(1);
+          }
+        },
+        chunk);
+    EXPECT_EQ(outside.load(), 0) << "chunk " << chunk;
   }
 }
 
-TEST(ThreadPool, IndexAdapterOnSubSpanCoversEachIndexOnce) {
+TEST(ThreadPool, RangesOnSubSpanCoverEachIndexOnce) {
   ThreadPool pool(4);
-  for (ScheduleStrategy s :
-       {ScheduleStrategy::CentralCounter, ScheduleStrategy::WorkStealing}) {
-    for (std::size_t chunk : {1u, 7u, 64u, 5000u}) {
-      constexpr std::size_t kN = 1003;
-      std::vector<std::atomic<int>> hits(kN);
-      const RunStats stats = pool.parallel_run_on(
-          {2, 4}, kN, [&](std::size_t i) { hits[i].fetch_add(1); }, chunk, s);
-      for (std::size_t i = 0; i < kN; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "chunk " << chunk << " index " << i;
-      }
-      EXPECT_EQ(stats_total(stats), kN) << "chunk " << chunk;
-      EXPECT_LE(stats.participants, 3u);  // 2 span workers + caller
+  for (std::size_t chunk : {1u, 7u, 64u, 5000u}) {
+    constexpr std::size_t kN = 1003;
+    std::vector<std::atomic<int>> hits(kN);
+    const RunStats stats = pool.parallel_ranges_on(
+        {2, 4}, kN,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        },
+        chunk);
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "chunk " << chunk << " index " << i;
     }
+    EXPECT_EQ(stats_total(stats), kN) << "chunk " << chunk;
+    EXPECT_LE(stats.participants, 3u);  // 2 span workers + caller
   }
 }
 
+TEST(ThreadPool, CountPast32BitsRunsAsSubBatches) {
+  // Slot ranges pack into 32 bits, so this count runs as consecutive
+  // sub-batches. The body only records ranges: a few dozen claims, not
+  // 2^32 calls.
+  ThreadPool pool(2);
+  constexpr std::size_t kCount = (std::size_t{1} << 32) + 5;
+  std::mutex mutex;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  const RunStats stats = pool.parallel_ranges_on(
+      {0, pool.thread_count()}, kCount,
+      [&](std::size_t begin, std::size_t end) {
+        std::lock_guard lock(mutex);
+        ranges.emplace_back(begin, end);
+      },
+      std::size_t{1} << 28);
+  std::sort(ranges.begin(), ranges.end());
+  std::size_t next = 0;
+  for (const auto& [begin, end] : ranges) {
+    ASSERT_EQ(begin, next) << "gap or overlap at " << begin;
+    ASSERT_LT(begin, end);
+    next = end;
+  }
+  EXPECT_EQ(next, kCount);
+  EXPECT_LT(ranges.size(), 64u);
+  EXPECT_EQ(stats_total(stats), kCount);
+  EXPECT_LE(stats.max_per_participant, kCount);
+}
 
-/// Start of WorkStealing slot `s` of `slots` over [0, count): the caller
+/// Start of slot `s` of `slots` over [0, count): the caller
 /// owns slot 0 and worker i slot i - span.begin + 1.
 std::size_t slot_start(std::size_t s, std::size_t slots, std::size_t count) {
   return s * (count / slots) + std::min(s, count % slots);
 }
 
-/// Runs repeated WorkStealing batches over `span`, recording every call's
+/// Runs repeated batches over `span`, recording every call's
 /// range per thread, and checks that each thread's first range starts at
 /// its own slot's start (so a relaunch gives every thread the groups it had
 /// last time) and that RunStats counts every index.
@@ -559,7 +561,7 @@ void expect_first_ranges_at_own_slots(ThreadPool& pool, WorkerSpan span,
           calls[static_cast<std::size_t>(pool.worker_index_here() + 1)]
               .emplace_back(begin, end);
         },
-        chunk, ScheduleStrategy::WorkStealing);
+        chunk);
     const std::string where = "span=[" + std::to_string(span.begin) + "," +
                               std::to_string(span.end) + ") count=" +
                               std::to_string(count) + " chunk=" +

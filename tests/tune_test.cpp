@@ -387,24 +387,33 @@ TEST(TuneCache, VersionMismatchRejectsWholeFile) {
   EXPECT_GE(t.stats().cache_rows_rejected, 1u);
 }
 
-TEST(TuneCache, V2FileWithMapColumnLoadsNoRows) {
+TEST(TuneCache, OlderColumnLayoutsLoadNoRows) {
   TunerGuard guard;
   Tuner& t = Tuner::instance();
-  // A well-formed v2 file: its rows carry the retired map-vs-copy column
-  // before best_ns. The v3 header check must reject the file instead of
-  // reading that column as the best time.
-  const std::string key = "tune.test.v2|g4096x1x1|lauto|t4|a0";
-  std::ostringstream payload;
-  payload << "mcltune v2\n"
-          << "row " << key << " 0 0 0 0 0 0 16 1 1 1000\n";
-  std::ostringstream doc;
-  doc << payload.str() << "checksum " << std::hex << fnv1a64(payload.str())
-      << "\n";
-  const std::string path = temp_path("tune_v2.cache");
-  write_file(path, doc.str());
-  EXPECT_EQ(t.load_cache(path), 0u);
-  EXPECT_EQ(t.entry_count(), 0u);
-  EXPECT_GE(t.stats().cache_rows_rejected, 1u);
+  // Well-formed files of the retired layouts. A v2 row carries the
+  // map-vs-copy column and a v3 row the scheduler column before best_ns.
+  // The v4 header check must reject each file whole instead of reading
+  // the extra column as the best time.
+  const struct {
+    const char* header;
+    const char* columns;  // dims l0 l1 l2 exec chunk_div [map] [sched] best
+  } files[] = {{"mcltune v2", "0 0 0 0 0 16 1 1 1000"},
+               {"mcltune v3", "0 0 0 0 0 16 1 1000"}};
+  for (const auto& file : files) {
+    const std::string key = "tune.test.old|g4096x1x1|lauto|t4|a0";
+    std::ostringstream payload;
+    payload << file.header << "\n"
+            << "row " << key << " 0 " << file.columns << "\n";
+    std::ostringstream doc;
+    doc << payload.str() << "checksum " << std::hex << fnv1a64(payload.str())
+        << "\n";
+    const std::string path = temp_path("tune_old.cache");
+    write_file(path, doc.str());
+    const std::uint64_t rejected_before = t.stats().cache_rows_rejected;
+    EXPECT_EQ(t.load_cache(path), 0u) << file.header;
+    EXPECT_EQ(t.entry_count(), 0u) << file.header;
+    EXPECT_GT(t.stats().cache_rows_rejected, rejected_before) << file.header;
+  }
 }
 
 TEST(TuneCache, TruncatedFileFallsBackToColdStart) {
@@ -489,7 +498,7 @@ TEST(TuneCache, StaleGenerationRowIsSkipped) {
 TEST(TuneCache, WarmRowIllegalForThisBuildIsDroppedAtDecide) {
   TunerGuard guard;
   Tuner& t = Tuner::instance();
-  // Hand-craft a structurally valid v3 cache whose row pins the Simd
+  // Hand-craft a structurally valid v4 cache whose row pins the Simd
   // executor for a kernel with no simd form — what a cache written by a
   // SIMD-enabled build (or a hand edit) looks like to this process. The
   // generation guard cannot catch it (0 == 0 for never-registered IR);
@@ -497,8 +506,8 @@ TEST(TuneCache, WarmRowIllegalForThisBuildIsDroppedAtDecide) {
   // would reject on every launch.
   const std::string key = "tune.test.illegalwarm|g4096x1x1|lauto|t4|a0";
   std::ostringstream payload;
-  payload << "mcltune v3\n"
-          << "row " << key << " 0 0 0 0 0 3 16 0 1000\n";
+  payload << "mcltune v4\n"
+          << "row " << key << " 0 0 0 0 0 3 16 1000\n";
   std::ostringstream doc;
   doc << payload.str() << "checksum " << std::hex << fnv1a64(payload.str())
       << "\n";

@@ -24,9 +24,10 @@
 #      online convergence);
 #   2. ASan+UBSan build (-DMCL_SANITIZE=address,undefined) + full ctest suite;
 #   3. TSan build (-DMCL_SANITIZE=thread) running the `threading` + `queue` +
-#      `trace` + `prof` + `serve` + `tune` + `subdev` + `shim` labels — the
-#      thread-pool wakeup, event-graph executor, trace-ring, metrics-shard,
-#      multi-tenant serve, tuner decide/report/cache, sub-device sharding
+#      `trace` + `prof` + `serve` + `tune` + `obs` + `subdev` + `shim` labels
+#      — the thread-pool wakeup, event-graph executor, trace-ring,
+#      metrics-shard, multi-tenant serve, tuner decide/report/cache, mclobs
+#      request-lifecycle recording, sub-device sharding
 #      (concurrent shard launches from multiple host threads over disjoint
 #      worker spans), and CL shim tests (wait lists, user events, callbacks
 #      and error propagation through the C API). Only those labels: TSan
