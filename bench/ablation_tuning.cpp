@@ -188,6 +188,10 @@ WorkloadResult run_workload(
   tuner.reset();
   tuner.reset_stats();
   tuner.set_mode(tune::Mode::Online);
+  // The tuner keys entries on whether the launch binds local memory (tiled
+  // Matrixmul does, from its first launch on), so every query below must
+  // name the entry the launches tuned.
+  bool has_local_args = false;
   {
     ocl::CpuDevice device(base);
     ocl::Context ctx(device);
@@ -197,8 +201,9 @@ WorkloadResult run_workload(
     const core::MeasureOptions one_shot = one_launch();
     for (int i = 1; i <= opt.repeats; ++i) {
       (void)app->time(q, ocl::NDRange{}, one_shot);
+      has_local_args = app->kernel().args().total_local_bytes() > 0;
       if (tuner.converged(app->kernel().def().name, app->global(),
-                          ocl::NDRange{}, threads)) {
+                          ocl::NDRange{}, threads, has_local_args)) {
         r.converged_at = i;
         break;
       }
@@ -208,7 +213,8 @@ WorkloadResult run_workload(
     // Report the configs the tuner settled on (online: the measured
     // incumbent; seed: what the pure ranking would pick).
     if (auto cfg = tuner.tuned_config(app->kernel().def(), app->global(),
-                                      ocl::NDRange{}, false, threads)) {
+                                      ocl::NDRange{}, has_local_args,
+                                      threads)) {
       r.tuned_online.config = cfg->to_string();
     }
   }
@@ -222,7 +228,7 @@ WorkloadResult run_workload(
     const std::size_t threads = static_cast<std::size_t>(device.compute_units());
     t.reset();
     if (auto cfg = t.tuned_config(probe->kernel().def(), probe->global(),
-                                  ocl::NDRange{}, false, threads)) {
+                                  ocl::NDRange{}, has_local_args, threads)) {
       r.tuned_seed.config = cfg->to_string();
     }
   }

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -34,24 +35,17 @@ std::uint64_t total_arg_bytes(const KernelArgs& args) {
   return bytes;
 }
 
-/// Rough per-workgroup traffic estimate for trace args: total buffer bytes
-/// split evenly across workgroups.
-std::uint64_t estimate_group_bytes(const KernelArgs& args,
-                                   std::size_t total_groups) {
-  return total_arg_bytes(args) / std::max<std::size_t>(total_groups, 1);
-}
-
 /// Items executed through the kernel's simd form. The Simd executor batches
 /// full lane groups along dim 0 of each local row and runs the remainder
 /// scalar, so coverage is (local0 - local0 % W) of every local0-item row.
-std::uint64_t simd_items_of(const detail::GroupRunner& runner,
+std::uint64_t simd_items_of(const NDRange& local, std::size_t groups,
                             ExecutorKind used) {
   if (used != ExecutorKind::Simd) return 0;
   const std::size_t W = static_cast<std::size_t>(simd::kNativeFloatWidth);
-  const std::size_t local0 = std::max<std::size_t>(runner.local()[0], 1);
-  const std::size_t rows_per_group = runner.local().total() / local0;
-  return static_cast<std::uint64_t>(runner.total_groups()) *
-         (local0 - local0 % W) * rows_per_group;
+  const std::size_t local0 = std::max<std::size_t>(local[0], 1);
+  const std::size_t rows_per_group = local.total() / local0;
+  return static_cast<std::uint64_t>(groups) * (local0 - local0 % W) *
+         rows_per_group;
 }
 
 /// Fault-injection hook for mclcheck's self-test (see docs/mclcheck.md):
@@ -72,21 +66,6 @@ NDRange resolve_local(const KernelDef& def, bool has_local_args,
   return pick_cpu_default_local(
       global, group_oblivious(def, has_local_args, executor),
       static_cast<std::size_t>(simd::kNativeFloatWidth));
-}
-
-prof::LaunchMeta launch_meta(const KernelDef& def,
-                             const detail::GroupRunner& runner,
-                             ExecutorKind used, double seconds,
-                             std::uint64_t est_bytes) {
-  prof::LaunchMeta meta;
-  meta.groups = runner.total_groups();
-  meta.items = static_cast<std::uint64_t>(runner.total_groups()) *
-               runner.local().total();
-  meta.simd_items = simd_items_of(runner, used);
-  meta.has_simd_form = def.simd != nullptr && simd::kNativeFloatWidth > 1;
-  meta.seconds = seconds;
-  meta.est_bytes = est_bytes;
-  return meta;
 }
 
 /// Work that pays for one participant of a pooled launch: about what a
@@ -176,6 +155,94 @@ threading::RunStats run_at_width(threading::ThreadPool& pool,
                                  fn, chunk);
 }
 
+/// The serial placement: fn over [0, total) on the calling thread, in one
+/// call for the identity order (`order` unset), else one group per step,
+/// group order(k, total) at step k.
+template <class RangeBody>
+threading::RunStats run_in_order(
+    const decltype(CpuDeviceConfig::dispatch_order)& order, std::size_t total,
+    const RangeBody& fn) {
+  if (!order) {
+    fn(std::size_t{0}, total);
+    return {};
+  }
+  for (std::size_t k = 0; k < total; ++k) {
+    const std::size_t g = order(k, total);
+    core::check(g < total, core::Status::InvalidValue,
+                "dispatch_order returned an out-of-range workgroup index");
+    fn(g, g + 1);
+  }
+  return {};
+}
+
+/// The one CPU launch body. Under `launch_mutex`, times `place(fn)`, which
+/// must call fn(begin, end) on ranges of group ids that cover the launch
+/// once and return the schedule's RunStats; `width` is how many threads the
+/// placement runs on, for the `launch:` span. An untraced, unprofiled launch
+/// hands the placement the runner's range call itself, so a claimed chunk
+/// is one run_groups() call; otherwise each group runs alone under a `wg:`
+/// span tagged (group id, worker id, estimated bytes touched) and a
+/// prof::GroupScope sampling the thread's hardware counters, inside one
+/// `launch:` span. Either side disarms on null (wg_name when tracing is off,
+/// the accumulator when not profiling).
+template <class Runner, class Place>
+LaunchResult run_launch(const KernelDef& def, const KernelArgs& args,
+                        Runner& runner, std::size_t width,
+                        std::mutex& launch_mutex, const Place& place) {
+  LaunchResult result;
+  result.local_used = runner.local();
+  result.executor_used = runner.executor();
+  std::lock_guard launch_lock(launch_mutex);
+  prof::LaunchAcc acc;
+  const core::TimePoint t0 = core::now();
+  if (!trace::enabled() && !prof::profiling()) {
+    result.schedule = place([&runner](std::size_t begin, std::size_t end) {
+      runner.run_groups(begin, end);
+    });
+  } else {
+    const char* wg_name =
+        trace::enabled() ? trace::intern("wg:" + def.name) : nullptr;
+    // Rough per-workgroup traffic: buffer bytes split evenly across groups.
+    const std::uint64_t est_bytes =
+        total_arg_bytes(args) / std::max<std::size_t>(runner.total_groups(), 1);
+    prof::LaunchAcc* const accp = prof::profiling() ? &acc : nullptr;
+    // Groups may run on pool or pinned threads whose thread-local causal
+    // context is not the launcher's; carry it into the lambda so wg: spans
+    // stay attributable to the enclosing command (mclobs).
+    const std::uint64_t ctx = trace::current_context();
+    trace::ScopedSpan launch_span(
+        trace::enabled() ? trace::intern("launch:" + def.name) : nullptr,
+        "groups,width", runner.total_groups(), width);
+    const auto run_group = [&runner, wg_name, est_bytes, accp,
+                            ctx](std::size_t g) {
+      trace::ContextScope cscope(ctx);
+      trace::ScopedSpan span(wg_name, "group,worker,est_bytes", g,
+                             wg_name != nullptr ? trace::current_thread_id()
+                                                : 0,
+                             est_bytes);
+      prof::GroupScope hw(accp);
+      runner.run_groups(g, g + 1);
+    };
+    result.schedule = place([&run_group](std::size_t begin, std::size_t end) {
+      for (std::size_t g = begin; g < end; ++g) run_group(g);
+    });
+  }
+  result.seconds = core::elapsed_s(t0, core::now());
+  if (prof::profiling()) {
+    const std::size_t groups = runner.total_groups();
+    result.profile = prof::commit_launch(
+        def.name, acc,
+        {.groups = groups,
+         .items = groups * runner.local().total(),
+         .simd_items =
+             simd_items_of(runner.local(), groups, result.executor_used),
+         .has_simd_form = def.simd != nullptr && simd::kNativeFloatWidth > 1,
+         .seconds = result.seconds,
+         .est_bytes = total_arg_bytes(args)});
+  }
+  return result;
+}
+
 }  // namespace
 
 struct CpuDevice::Impl {
@@ -208,6 +275,16 @@ LaunchResult CpuDevice::launch(const KernelDef& def, const KernelArgs& args,
                                const NDRange& offset) {
   return launch_core(def, args, global, local, offset,
                      {0, impl_->pool.thread_count()}, impl_->launch_mutex);
+}
+
+LaunchResult CpuDevice::launch_pinned(const KernelDef& def,
+                                      const KernelArgs& args,
+                                      const NDRange& global,
+                                      const NDRange& local,
+                                      std::span<const int> group_to_cpu) {
+  return launch_core(def, args, global, local, NDRange{},
+                     {0, impl_->pool.thread_count()}, impl_->launch_mutex,
+                     group_to_cpu);
 }
 
 int CpuDevice::pool_worker_index() const noexcept {
@@ -268,63 +345,47 @@ LaunchResult CpuSubDevice::launch(const KernelDef& def, const KernelArgs& args,
                               launch_mutex_);
 }
 
-LaunchResult CpuDevice::launch_core(const KernelDef& def,
-                                    const KernelArgs& args,
-                                    const NDRange& global, const NDRange& local,
-                                    const NDRange& offset,
-                                    threading::WorkerSpan span,
-                                    std::mutex& launch_mutex) {
-  // NULL local resolves here, once, for every path below (Checked,
-  // dispatch_order, pooled); only the tuner may still replace it.
+LaunchResult CpuDevice::launch_core(
+    const KernelDef& def, const KernelArgs& args, const NDRange& global,
+    const NDRange& local, const NDRange& offset, threading::WorkerSpan span,
+    std::mutex& launch_mutex,
+    std::optional<std::span<const int>> group_to_cpu) {
+  // NULL local resolves here, once, for every placement below; only the
+  // tuner may still replace it.
   const bool has_local_args = args.total_local_bytes() > 0;
   const NDRange resolved_local =
       resolve_local(def, has_local_args, global, local, config_.executor);
+  // Placement rule (docs/runtime.md): a Checked or dispatch_order launch
+  // runs serially on the caller, in dispatch_order or identity order; else
+  // a launch_pinned call runs on pinned threads; else the launch runs on
+  // the pool at the measured width.
   if (config_.executor == ExecutorKind::Checked) {
-    // mclsan dynamic mode: serial, instrumented execution. Throws
-    // SanitizerViolation (after the launch completes) on any finding.
+    // mclsan dynamic mode. Its prologue (snapshots, IR replay) and epilogue
+    // (W1 compare) are timed with the groups, and the epilogue throws
+    // SanitizerViolation, after every group ran, on any finding.
     detail::CheckedRunner checked(def, args, global, resolved_local,
                                   config_.fiber_stack_bytes, offset);
-    LaunchResult result;
-    result.local_used = checked.local();
-    result.executor_used = ExecutorKind::Checked;
-    std::lock_guard launch_lock(launch_mutex);
-    trace::ScopedSpan span(
-        trace::enabled() ? trace::intern("launch.checked:" + def.name)
-                         : nullptr);
-    prof::LaunchAcc acc;
-    const core::TimePoint t0 = core::now();
-    {
-      // One scope around the whole serial run: hw counters still attribute
-      // to the kernel even though there is no per-group fan-out.
-      prof::GroupScope hw(prof::profiling() ? &acc : nullptr);
-      checked.run();
-    }
-    result.seconds = core::elapsed_s(t0, core::now());
-    if (prof::profiling()) {
-      prof::LaunchMeta meta;
-      const std::size_t local_total =
-          std::max<std::size_t>(result.local_used.total(), 1);
-      meta.items = global.total();
-      meta.groups = meta.items / local_total;
-      meta.has_simd_form = def.simd != nullptr && simd::kNativeFloatWidth > 1;
-      meta.seconds = result.seconds;
-      meta.est_bytes = total_arg_bytes(args);
-      result.profile = prof::commit_launch(def.name, acc, meta);
-    }
-    return result;
+    return run_launch(def, args, checked, 1, launch_mutex,
+                      [&](const auto& fn) {
+                        checked.run([&] {
+                          run_in_order(config_.dispatch_order,
+                                       checked.total_groups(), fn);
+                        });
+                        return threading::RunStats{};
+                      });
   }
-  // mcltune hook: only launches that leave every knob to the runtime are
-  // tunable (an explicit executor config or a dispatch-order override is the
-  // caller asserting policy, e.g. the ablation benches' fixed arms). Local
-  // size is overridden only when the caller passed NullRange and the kernel
-  // binds no local-memory args — their byte counts were sized for the
+  // mcltune hook: only pooled launches that leave every knob to the runtime
+  // are tunable (an explicit executor config or a dispatch-order override is
+  // the caller asserting policy, e.g. the ablation benches' fixed arms).
+  // Local size is overridden only when the caller passed NullRange and the
+  // kernel binds no local-memory args — their byte counts were sized for the
   // caller's groups. One relaxed load when MCL_TUNE is off.
   ExecutorKind exec_kind = config_.executor;
   NDRange launch_local = resolved_local;
   std::size_t chunk_divisor = 16;
   std::optional<tune::Decision> tuned;
   if (tune::enabled() && config_.executor == ExecutorKind::Auto &&
-      !config_.dispatch_order) {
+      !config_.dispatch_order && !group_to_cpu) {
     tuned = tune::Tuner::instance().decide(
         def, global, local, has_local_args,
         std::max<std::size_t>(span.size(), 1));
@@ -345,26 +406,41 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
 
   detail::GroupRunner runner(def, args, global, launch_local, exec_kind,
                              config_.fiber_stack_bytes, offset);
-  LaunchResult result;
-  result.local_used = runner.local();
-  result.executor_used = runner.executor();
-
   if (config_.dispatch_order) {
-    // mclcheck's metamorphic dispatch-order transform: execute workgroups
-    // serially on this thread in the permuted order. Race-free kernels must
-    // be insensitive to it; the pool (and its chunker) is bypassed so the
-    // order is exact, not a scheduling hint.
-    std::lock_guard launch_lock(launch_mutex);
-    const std::size_t total = runner.total_groups();
-    const core::TimePoint t0 = core::now();
-    for (std::size_t k = 0; k < total; ++k) {
-      const std::size_t g = config_.dispatch_order(k, total);
-      core::check(g < total, core::Status::InvalidValue,
-                  "dispatch_order returned an out-of-range workgroup index");
-      runner.run_groups(g, g + 1);
+    // mclcheck's metamorphic dispatch-order transform: race-free kernels
+    // must be insensitive to the order, so it is exact, not a scheduling
+    // hint — the pool (and its chunker) is bypassed.
+    return run_launch(def, args, runner, 1, launch_mutex,
+                      [&](const auto& fn) {
+                        return run_in_order(config_.dispatch_order,
+                                            runner.total_groups(), fn);
+                      });
+  }
+  if (group_to_cpu) {
+    core::check(group_to_cpu->size() == runner.total_groups(),
+                core::Status::InvalidValue,
+                "group_to_cpu must name a CPU for every workgroup");
+    // Bucket workgroups by target CPU; one pinned thread per distinct CPU.
+    std::map<int, std::vector<std::size_t>> by_cpu;
+    for (std::size_t g = 0; g < group_to_cpu->size(); ++g) {
+      core::check((*group_to_cpu)[g] >= 0, core::Status::InvalidValue,
+                  "negative CPU id in group_to_cpu");
+      by_cpu[(*group_to_cpu)[g]].push_back(g);
     }
-    result.seconds = core::elapsed_s(t0, core::now());
-    return result;
+    return run_launch(
+        def, args, runner, by_cpu.size(), launch_mutex,
+        [&by_cpu](const auto& fn) {
+          std::vector<std::thread> threads;
+          threads.reserve(by_cpu.size());
+          for (const auto& [cpu, groups] : by_cpu) {
+            threads.emplace_back([cpu = cpu, &groups, &fn] {
+              threading::pin_current_thread(cpu);
+              for (std::size_t g : groups) fn(g, g + 1);
+            });
+          }
+          for (auto& t : threads) t.join();
+          return threading::RunStats{};
+        });
   }
 
   // Real dispatch extent; diverges from total_groups() only under the
@@ -373,7 +449,7 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
   std::size_t dispatch_groups = runner.total_groups();
   if (dispatch_groups > 1 && inject_chunker_bug()) --dispatch_groups;
   // Width rule: as many participants as the shape's measured work pays for,
-  // never more than it has groups. Every branch below dispatches at it.
+  // never more than it has groups.
   const ShapeKey shape{&def, global, runner.local()};
   const std::size_t width =
       std::min(impl_->widths.width(shape, span.size() + 1), dispatch_groups);
@@ -383,127 +459,13 @@ LaunchResult CpuDevice::launch_core(const KernelDef& def,
   // are sized for the participants that run the launch.
   const std::size_t chunk = std::clamp<std::size_t>(
       runner.total_groups() / (width * chunk_divisor), 1, 64);
-
-  std::lock_guard launch_lock(launch_mutex);
-  prof::LaunchAcc acc;
-  const core::TimePoint t0 = core::now();
-  if (!trace::enabled() && !prof::profiling()) {
-    result.schedule = run_at_width(
-        impl_->pool, span, width, dispatch_groups,
-        [&runner](std::size_t begin, std::size_t end) {
-          runner.run_groups(begin, end);
-        },
-        chunk);
-  } else {
-    // Instrumented launch: a trace span per workgroup tagged (group id,
-    // worker id, estimated bytes touched) under an enclosing per-kernel
-    // launch span, and a prof::GroupScope sampling the worker's hardware
-    // counters across each workgroup batch. Either side disarms on null
-    // (wg_name when tracing is off, the accumulator when not profiling);
-    // the fast path above stays capture-light.
-    const char* wg_name =
-        trace::enabled() ? trace::intern("wg:" + def.name) : nullptr;
-    const std::uint64_t est_bytes =
-        estimate_group_bytes(args, runner.total_groups());
-    prof::LaunchAcc* const accp = prof::profiling() ? &acc : nullptr;
-    // Workgroups run on pool threads whose thread-local causal context is
-    // not the launcher's; carry it into the lambda so wg: spans stay
-    // attributable to the enclosing command (mclobs).
-    const std::uint64_t ctx = trace::current_context();
-    trace::ScopedSpan launch_span(
-        trace::enabled() ? trace::intern("launch:" + def.name) : nullptr,
-        "groups,width", runner.total_groups(), width);
-    const auto run_group = [&runner, wg_name, est_bytes, accp,
-                            ctx](std::size_t g) {
-      trace::ContextScope cscope(ctx);
-      trace::ScopedSpan span(wg_name, "group,worker,est_bytes", g,
-                             wg_name != nullptr ? trace::current_thread_id()
-                                                : 0,
-                             est_bytes);
-      prof::GroupScope hw(accp);
-      runner.run_groups(g, g + 1);
-    };
-    result.schedule = run_at_width(
-        impl_->pool, span, width, dispatch_groups,
-        [&run_group](std::size_t begin, std::size_t end) {
-          for (std::size_t g = begin; g < end; ++g) run_group(g);
-        },
-        chunk);
-  }
-  result.seconds = core::elapsed_s(t0, core::now());
+  LaunchResult result = run_launch(
+      def, args, runner, width, launch_mutex, [&](const auto& fn) {
+        return run_at_width(impl_->pool, span, width, dispatch_groups, fn,
+                            chunk);
+      });
   impl_->widths.record(shape, result.schedule.busy_seconds);
   if (tuned) tune::Tuner::instance().report(*tuned, result.seconds);
-  if (prof::profiling()) {
-    result.profile = prof::commit_launch(
-        def.name, acc,
-        launch_meta(def, runner, result.executor_used, result.seconds,
-                    total_arg_bytes(args)));
-  }
-  return result;
-}
-
-LaunchResult CpuDevice::launch_pinned(const KernelDef& def,
-                                      const KernelArgs& args,
-                                      const NDRange& global,
-                                      const NDRange& local,
-                                      std::span<const int> group_to_cpu) {
-  detail::GroupRunner runner(
-      def, args, global,
-      resolve_local(def, args.total_local_bytes() > 0, global, local,
-                    config_.executor),
-      config_.executor, config_.fiber_stack_bytes);
-  core::check(group_to_cpu.size() == runner.total_groups(),
-              core::Status::InvalidValue,
-              "group_to_cpu must name a CPU for every workgroup");
-
-  // Bucket workgroups by target CPU; one pinned thread per distinct CPU.
-  std::map<int, std::vector<std::size_t>> by_cpu;
-  for (std::size_t g = 0; g < group_to_cpu.size(); ++g) {
-    core::check(group_to_cpu[g] >= 0, core::Status::InvalidValue,
-                "negative CPU id in group_to_cpu");
-    by_cpu[group_to_cpu[g]].push_back(g);
-  }
-
-  LaunchResult result;
-  result.local_used = runner.local();
-  result.executor_used = runner.executor();
-
-  // Null when tracing is off; ScopedSpan disarms on a null name.
-  const char* wg_name =
-      trace::enabled() ? trace::intern("wg:" + def.name) : nullptr;
-  const std::uint64_t est_bytes =
-      wg_name != nullptr ? estimate_group_bytes(args, runner.total_groups())
-                         : 0;
-  prof::LaunchAcc acc;
-  prof::LaunchAcc* const accp = prof::profiling() ? &acc : nullptr;
-
-  const core::TimePoint t0 = core::now();
-  // Pinned threads are fresh; install the launcher's causal context so
-  // their wg: spans attribute like pool-thread launches (mclobs).
-  const std::uint64_t ctx = trace::current_context();
-  std::vector<std::thread> threads;
-  threads.reserve(by_cpu.size());
-  for (const auto& [cpu, groups] : by_cpu) {
-    threads.emplace_back(
-        [cpu = cpu, &groups, &runner, wg_name, est_bytes, accp, ctx] {
-          threading::pin_current_thread(cpu);
-          trace::ContextScope cscope(ctx);
-          for (std::size_t g : groups) {
-            trace::ScopedSpan span(wg_name, "group,cpu,est_bytes", g,
-                                   static_cast<std::uint64_t>(cpu), est_bytes);
-            prof::GroupScope hw(accp);
-            runner.run_groups(g, g + 1);
-          }
-        });
-  }
-  for (auto& t : threads) t.join();
-  result.seconds = core::elapsed_s(t0, core::now());
-  if (prof::profiling()) {
-    result.profile = prof::commit_launch(
-        def.name, acc,
-        launch_meta(def, runner, result.executor_used, result.seconds,
-                    total_arg_bytes(args)));
-  }
   return result;
 }
 

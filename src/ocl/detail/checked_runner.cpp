@@ -46,6 +46,24 @@ CheckedRunner::CheckedRunner(const KernelDef& def, const KernelArgs& args,
       validator_(def, args, global, local, ExecutorKind::Checked,
                  fiber_stack_bytes, offset) {
   local_ = validator_.local();
+  for (std::size_t d = 0; d < 3; ++d) ngroups_[d] = global_[d] / local_[d];
+  // Local-memory arena with canary zones around every block: the block a
+  // kernel sees at local_mem(arg) is bracketed by kCanaryBytes of 0xCB on
+  // each side, checked after every workgroup (rule M1).
+  std::size_t arena_bytes = 0;
+  std::size_t max_arg = 0;
+  for (std::size_t i = 0; i < args_.arg_count(); ++i) {
+    if (!args_.is_local(i)) continue;
+    const std::size_t bytes = args_.local_bytes(i);
+    blocks_.push_back({i, arena_bytes + kCanaryBytes, bytes});
+    arena_bytes += kCanaryBytes + round64(bytes) + kCanaryBytes;
+    max_arg = std::max(max_arg, i);
+  }
+  arena_.resize(arena_bytes);
+  local_ptrs_.assign(blocks_.empty() ? 0 : max_arg + 1, nullptr);
+  for (const LocalBlock& b : blocks_) {
+    local_ptrs_[b.arg] = arena_.data() + b.data_off;
+  }
 }
 
 void CheckedRunner::add_finding(std::string line) {
@@ -386,40 +404,19 @@ void CheckedRunner::run_group_checked_fiber(std::size_t g0, std::size_t g1,
   }
 }
 
-void CheckedRunner::execute_groups() {
-  // Local-memory arena with canary zones around every block: the block a
-  // kernel sees at local_mem(arg) is bracketed by kCanaryBytes of 0xCB on
-  // each side, checked after every workgroup (rule M1).
-  struct LocalBlock {
-    std::size_t arg = 0;
-    std::size_t data_off = 0;  ///< offset of the usable block in the arena
-    std::size_t bytes = 0;     ///< bytes the kernel asked for
-  };
-  std::vector<LocalBlock> blocks;
-  std::size_t arena_bytes = 0;
-  std::size_t max_arg = 0;
-  for (std::size_t i = 0; i < args_.arg_count(); ++i) {
-    if (!args_.is_local(i)) continue;
-    const std::size_t bytes = args_.local_bytes(i);
-    blocks.push_back({i, arena_bytes + kCanaryBytes, bytes});
-    arena_bytes += kCanaryBytes + round64(bytes) + kCanaryBytes;
-    max_arg = std::max(max_arg, i);
-  }
-  std::vector<std::byte> arena(arena_bytes);
-  std::vector<void*> ptrs(blocks.empty() ? 0 : max_arg + 1, nullptr);
-  for (const LocalBlock& b : blocks) ptrs[b.arg] = arena.data() + b.data_off;
+void CheckedRunner::run_groups(std::size_t begin, std::size_t end) {
   auto paint_canaries = [&] {
-    for (const LocalBlock& b : blocks) {
-      std::fill_n(arena.data() + b.data_off - kCanaryBytes, kCanaryBytes,
+    for (const LocalBlock& b : blocks_) {
+      std::fill_n(arena_.data() + b.data_off - kCanaryBytes, kCanaryBytes,
                   kCanaryPattern);
-      std::fill_n(arena.data() + b.data_off + b.bytes,
+      std::fill_n(arena_.data() + b.data_off + b.bytes,
                   round64(b.bytes) - b.bytes + kCanaryBytes, kCanaryPattern);
     }
   };
   auto check_canaries = [&](std::size_t group) {
-    for (const LocalBlock& b : blocks) {
-      const std::byte* lo = arena.data() + b.data_off - kCanaryBytes;
-      const std::byte* hi = arena.data() + b.data_off + b.bytes;
+    for (const LocalBlock& b : blocks_) {
+      const std::byte* lo = arena_.data() + b.data_off - kCanaryBytes;
+      const std::byte* hi = arena_.data() + b.data_off + b.bytes;
       const std::size_t hi_len = round64(b.bytes) - b.bytes + kCanaryBytes;
       const bool lo_ok =
           std::all_of(lo, lo + kCanaryBytes,
@@ -438,14 +435,11 @@ void CheckedRunner::execute_groups() {
     }
   };
 
-  const std::size_t ngroups[3] = {global_[0] / local_[0],
-                                  global_[1] / local_[1],
-                                  global_[2] / local_[2]};
-  void* const* local_mem = ptrs.empty() ? nullptr : ptrs.data();
-  for (std::size_t g = 0; g < validator_.total_groups(); ++g) {
-    const std::size_t g0 = g % ngroups[0];
-    const std::size_t g1 = (g / ngroups[0]) % ngroups[1];
-    const std::size_t g2 = g / (ngroups[0] * ngroups[1]);
+  void* const* local_mem = local_ptrs_.empty() ? nullptr : local_ptrs_.data();
+  for (std::size_t g = begin; g < end; ++g) {
+    const std::size_t g0 = g % ngroups_[0];
+    const std::size_t g1 = (g / ngroups_[0]) % ngroups_[1];
+    const std::size_t g2 = g / (ngroups_[0] * ngroups_[1]);
     paint_canaries();
     if (def_.workgroup != nullptr) {
       WorkGroupCtx ctx;
@@ -461,7 +455,7 @@ void CheckedRunner::execute_groups() {
   }
 }
 
-void CheckedRunner::run() {
+void CheckedRunner::run(const std::function<void()>& groups) {
   findings_.clear();
   finding_keys_.clear();
   suppressed_ = 0;
@@ -491,7 +485,7 @@ void CheckedRunner::run() {
     replay_ir(*ir);
   }
 
-  execute_groups();
+  groups();
 
   for (const Snapshot& s : snapshots) {
     if (std::memcmp(s.bytes.data(), s.buffer->device_ptr(), s.bytes.size()) !=

@@ -1,6 +1,8 @@
 // Internal: the mclsan dynamic-mode executor (ExecutorKind::Checked).
 //
-// Runs a launch serially with instrumentation around it:
+// Runs a launch serially with instrumentation around it; run_groups() is the
+// per-group checked step, which the CPU device drives in its serial group
+// order like GroupRunner::run_groups:
 //  - IR replay: when the kernel registered a veclegal::KernelIr descriptor,
 //    every workitem's declared affine accesses are replayed into a per-array
 //    shadow map, reporting inter-workitem races (rules S2/S3) that are not
@@ -30,6 +32,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -60,12 +63,26 @@ class CheckedRunner {
   [[nodiscard]] std::size_t total_groups() const noexcept {
     return validator_.total_groups();
   }
+  [[nodiscard]] static ExecutorKind executor() noexcept {
+    return ExecutorKind::Checked;
+  }
 
-  /// Executes the whole NDRange (serially, on the calling thread) and throws
-  /// core::Error(Status::SanitizerViolation) if any check fired. The launch
-  /// itself runs to completion first, so buffers hold the kernel's output
-  /// even when the error is thrown.
-  void run();
+  /// Executes the workgroups with linear ids [begin, end) in order on the
+  /// calling thread, checking the local-memory canaries (M1) after each.
+  /// Only valid inside run(groups), from one thread at a time.
+  void run_groups(std::size_t begin, std::size_t end);
+
+  /// Checks one launch: snapshots the read-only buffers and replays the
+  /// kernel's IR, calls `groups` (which must run every group through
+  /// run_groups()), then throws core::Error(Status::SanitizerViolation) if
+  /// any check fired. The launch itself runs to completion first, so
+  /// buffers hold the kernel's output even when the error is thrown.
+  void run(const std::function<void()>& groups);
+
+  /// run(groups) over every group, serially in linear order.
+  void run() {
+    run([this] { run_groups(0, total_groups()); });
+  }
 
   /// Findings of the last run() (also available when it threw — catch the
   /// error and inspect). One human-readable line per finding.
@@ -101,8 +118,14 @@ class CheckedRunner {
   }
 
  private:
+  /// A local-memory block inside arena_, bracketed by canary zones.
+  struct LocalBlock {
+    std::size_t arg = 0;
+    std::size_t data_off = 0;  ///< offset of the usable block in the arena
+    std::size_t bytes = 0;     ///< bytes the kernel asked for
+  };
+
   void replay_ir(const veclegal::KernelIr& ir);
-  void execute_groups();
   void run_group_checked_loop(std::size_t g0, std::size_t g1, std::size_t g2,
                               void* const* local_mem);
   void run_group_checked_fiber(std::size_t g0, std::size_t g1, std::size_t g2,
@@ -119,6 +142,10 @@ class CheckedRunner {
   NDRange offset_;
   std::size_t fiber_stack_bytes_;
   GroupRunner validator_;  ///< reused for validation + local-size resolution
+  std::size_t ngroups_[3] = {1, 1, 1};
+  std::vector<LocalBlock> blocks_;
+  std::vector<std::byte> arena_;
+  std::vector<void*> local_ptrs_;  ///< arg index -> block, the kernel's view
   std::vector<std::string> findings_;
   std::set<std::string> finding_keys_;
   std::size_t suppressed_ = 0;  ///< findings dropped past the cap

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,10 +82,11 @@ struct CpuDeviceConfig {
   ExecutorKind executor = ExecutorKind::Auto;
   std::size_t fiber_stack_bytes = 64 * 1024;
   /// Deterministic dispatch-order hook (mclcheck's metamorphic transform):
-  /// when set, launch() bypasses the pool and executes workgroups serially
-  /// on the calling thread, running linear group order(k, total) at step k.
-  /// `order` must be a bijection on [0, total); a race-free kernel must
-  /// produce identical results under every order.
+  /// when set, every launch (Checked and pinned ones included) bypasses the
+  /// pool and executes workgroups serially on the calling thread, running
+  /// linear group order(k, total) at step k. `order` must be a bijection on
+  /// [0, total); a race-free kernel must produce identical results under
+  /// every order.
   std::function<std::size_t(std::size_t index, std::size_t total)>
       dispatch_order = nullptr;
 };
@@ -108,7 +110,10 @@ class CpuDevice final : public Device {
   /// MiniCL extension the paper argues for (Sec. III-E): launch with an
   /// explicit workgroup -> logical-CPU map. group_to_cpu[g] names the CPU
   /// that must execute linear workgroup g; its size must equal the group
-  /// count. Trades the shared pool for per-launch pinned threads.
+  /// count. Trades the shared pool for per-launch pinned threads, and
+  /// serializes with the device's other launches. On a Checked or
+  /// dispatch_order device the launch runs serially instead and the map is
+  /// not read (the placement rule, launch_core).
   LaunchResult launch_pinned(const KernelDef& def, const KernelArgs& args,
                              const NDRange& global, const NDRange& local,
                              std::span<const int> group_to_cpu);
@@ -138,17 +143,20 @@ class CpuDevice final : public Device {
  private:
   friend class CpuSubDevice;
 
-  /// Shared launch body: runs the NDRange on the calling thread plus as
-  /// many leading workers of `span` as its measured work pays for (the
-  /// width rule, docs/runtime.md), serialized by `launch_mutex` (the parent
-  /// and each sub-device carry their own — sibling shards must not
-  /// serialize against each other). The tuner keys entries on the span's
-  /// size: the SUB-device size for sharded launches, never the parent pool
-  /// size.
-  LaunchResult launch_core(const KernelDef& def, const KernelArgs& args,
-                           const NDRange& global, const NDRange& local,
-                           const NDRange& offset, threading::WorkerSpan span,
-                           std::mutex& launch_mutex);
+  /// Every CPU launch, serialized by `launch_mutex` (the parent and each
+  /// sub-device carry their own — sibling shards must not serialize against
+  /// each other), runs at one placement (docs/runtime.md): serially on the
+  /// calling thread for a Checked or dispatch_order device; else on pinned
+  /// threads when `group_to_cpu` is given; else on the calling thread plus
+  /// as many leading workers of `span` as its measured work pays for (the
+  /// width rule). Only that pooled placement is tuned; the tuner keys
+  /// entries on the span's size: the SUB-device size for sharded launches,
+  /// never the parent pool size.
+  LaunchResult launch_core(
+      const KernelDef& def, const KernelArgs& args, const NDRange& global,
+      const NDRange& local, const NDRange& offset, threading::WorkerSpan span,
+      std::mutex& launch_mutex,
+      std::optional<std::span<const int>> group_to_cpu = std::nullopt);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -254,44 +254,66 @@ TEST(ProfHw, SampleSubtractionFloorsAtZero) {
 
 // ----- profiler session end-to-end ---------------------------------------------
 
+// Every placement of the CPU launch body (pooled, dispatch_order, pinned,
+// Checked) commits exactly one profile per launch.
 TEST(ProfSession, KernelLaunchAttributesProfile) {
-  start();
-  constexpr std::size_t kN = 1024;
-  ocl::CpuDevice dev(ocl::CpuDeviceConfig{.threads = 2});
-  ocl::Context ctx(dev);
-  ocl::CommandQueue q(ctx);
-  std::vector<float> in(kN, 2.0f), out(kN, 0.0f);
-  ocl::Buffer bin(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr,
-                  kN * sizeof(float), in.data());
-  ocl::Buffer bout(ocl::MemFlags::ReadWrite | ocl::MemFlags::UseHostPtr,
-                   kN * sizeof(float), out.data());
-  ocl::Kernel k = ctx.create_kernel(ocl::Program::builtin(), "prof_square");
-  k.set_arg(0, bin);
-  k.set_arg(1, bout);
-  (void)q.enqueue_ndrange(k, ocl::NDRange{kN}, ocl::NDRange{64});
+  enum class Placement { Pooled, DispatchOrder, Pinned, Checked };
+  for (const Placement placement :
+       {Placement::Pooled, Placement::DispatchOrder, Placement::Pinned,
+        Placement::Checked}) {
+    SCOPED_TRACE(static_cast<int>(placement));
+    start();
+    constexpr std::size_t kN = 1024;
+    ocl::CpuDeviceConfig config{.threads = 2};
+    if (placement == Placement::DispatchOrder) {
+      config.dispatch_order = [](std::size_t k, std::size_t total) {
+        return total - 1 - k;
+      };
+    } else if (placement == Placement::Checked) {
+      config.executor = ocl::ExecutorKind::Checked;
+    }
+    ocl::CpuDevice dev(config);
+    ocl::Context ctx(dev);
+    ocl::CommandQueue q(ctx);
+    std::vector<float> in(kN, 2.0f), out(kN, 0.0f);
+    ocl::Buffer bin(ocl::MemFlags::ReadOnly | ocl::MemFlags::UseHostPtr,
+                    kN * sizeof(float), in.data());
+    ocl::Buffer bout(ocl::MemFlags::ReadWrite | ocl::MemFlags::UseHostPtr,
+                     kN * sizeof(float), out.data());
+    ocl::Kernel k = ctx.create_kernel(ocl::Program::builtin(), "prof_square");
+    k.set_arg(0, bin);
+    k.set_arg(1, bout);
+    const std::vector<int> map(kN / 64, 0);
+    const ocl::Event ev =
+        placement == Placement::Pinned
+            ? q.enqueue_ndrange_pinned(k, ocl::NDRange{kN}, ocl::NDRange{64},
+                                       map)
+            : q.enqueue_ndrange(k, ocl::NDRange{kN}, ocl::NDRange{64});
+    EXPECT_EQ(ev.launch.profile.launches, 1u);
 
-  const KernelProfile p = kernel_profile("prof_square");
-  EXPECT_EQ(p.launches, 1u);
-  EXPECT_EQ(p.groups, kN / 64);
-  EXPECT_EQ(p.items, kN);
-  EXPECT_FALSE(p.has_simd_form);
-  EXPECT_EQ(p.simd_items, 0u);
-  EXPECT_GT(p.seconds, 0.0);
-  EXPECT_GT(p.est_bytes, 0u);
-  EXPECT_GT(p.achieved_gbps(), 0.0);
-  // Graceful degradation contract: `hardware` mirrors the probe. With perf
-  // access the cycle counts are real; without, they stay zero and the
-  // profile is still produced from software timing.
-  EXPECT_EQ(p.hardware, availability().usable);
-  if (!availability().usable) {
-    EXPECT_EQ(p.cycles, 0u);
-    EXPECT_DOUBLE_EQ(p.ipc(), 0.0);
-  } else {
-    EXPECT_GT(p.cycles, 0u);
-    EXPECT_GT(p.ipc(), 0.0);
+    const KernelProfile p = kernel_profile("prof_square");
+    EXPECT_EQ(p.launches, 1u);
+    EXPECT_EQ(p.groups, kN / 64);
+    EXPECT_EQ(p.items, kN);
+    EXPECT_FALSE(p.has_simd_form);
+    EXPECT_EQ(p.simd_items, 0u);
+    EXPECT_GT(p.seconds, 0.0);
+    EXPECT_GT(p.est_bytes, 0u);
+    EXPECT_GT(p.achieved_gbps(), 0.0);
+    // Graceful degradation contract: `hardware` mirrors the probe. With perf
+    // access the cycle counts are real; without, they stay zero and the
+    // profile is still produced from software timing.
+    EXPECT_EQ(p.hardware, availability().usable);
+    if (!availability().usable) {
+      EXPECT_EQ(p.cycles, 0u);
+      EXPECT_DOUBLE_EQ(p.ipc(), 0.0);
+    } else {
+      EXPECT_GT(p.cycles, 0u);
+      EXPECT_GT(p.ipc(), 0.0);
+    }
+    EXPECT_EQ(out[0], 4.0f) << "profiling must not perturb results";
+    stop();
   }
-  EXPECT_EQ(out[0], 4.0f) << "profiling must not perturb results";
-  stop();
 }
 
 TEST(ProfSession, AsyncEventCarriesKernelProfile) {

@@ -78,6 +78,16 @@ void local_overflow_kernel(const ocl::KernelArgs& a, const WorkItemCtx& c) {
 const KernelRegistrar reg_local_overflow{
     {.name = "san_test_local_overflow", .scalar = &local_overflow_kernel}};
 
+/// Appends its workgroup's id to arg 0 when the group's first item runs;
+/// arg 1 holds the next free slot, so only a serial device may run it.
+void group_order_kernel(const ocl::KernelArgs& a, const WorkItemCtx& c) {
+  if (c.local_id(0) != 0) return;
+  unsigned& next = a.buffer<unsigned>(1)[0];
+  a.buffer<unsigned>(0)[next++] = static_cast<unsigned>(c.group_id(0));
+}
+const KernelRegistrar reg_group_order{
+    {.name = "san_test_group_order", .scalar = &group_order_kernel}};
+
 // ----- static analysis: table-driven race/bounds/barrier cases -----------------
 
 KernelIr one_stmt_ir(veclegal::Stmt stmt, std::vector<ArrayInfo> arrays,
@@ -396,18 +406,26 @@ TEST(NumGroups, RoundsUpWithPartialFinalGroup) {
 
 // ----- dynamic mode: the Checked executor --------------------------------------
 
-CpuDevice checked_device() {
-  return CpuDevice(
-      CpuDeviceConfig{.threads = 1, .executor = ExecutorKind::Checked});
+using DispatchOrder = decltype(CpuDeviceConfig::dispatch_order);
+
+CpuDevice checked_device(DispatchOrder order = nullptr) {
+  return CpuDevice(CpuDeviceConfig{.threads = 1,
+                                   .executor = ExecutorKind::Checked,
+                                   .dispatch_order = std::move(order)});
 }
 
-/// Runs `kernel` under the Checked executor, expecting a SanitizerViolation
-/// whose message mentions `expect_tag` (e.g. "[P1]").
+std::size_t reverse_order(std::size_t k, std::size_t total) {
+  return total - 1 - k;
+}
+
+/// Runs `kernel` under the Checked executor (in `order`, when set),
+/// expecting a SanitizerViolation whose message mentions `expect_tag` (e.g.
+/// "[P1]").
 template <typename Setup>
 void expect_violation(const std::string& kernel, const char* expect_tag,
                       const NDRange& global, const NDRange& local,
-                      Setup&& setup) {
-  CpuDevice dev = checked_device();
+                      Setup&& setup, DispatchOrder order = nullptr) {
+  CpuDevice dev = checked_device(std::move(order));
   Context ctx(dev);
   CommandQueue q(ctx);
   Kernel k = ctx.create_kernel(Program::builtin(), kernel);
@@ -433,12 +451,32 @@ TEST(SanChecked, CatchesBarrierDivergence) {
 }
 
 TEST(SanChecked, CatchesReadOnlyBufferWrite) {
-  expect_violation("san_test_write_arg0", "[W1]", NDRange{64}, NDRange{},
-                   [](Context& ctx, Kernel& k, std::vector<Buffer>& bufs) {
-                     bufs.push_back(ctx.create_buffer(MemFlags::ReadOnly,
-                                                      64 * sizeof(float)));
-                     k.set_arg(0, bufs.back());
-                   });
+  for (DispatchOrder order : {DispatchOrder{}, DispatchOrder{&reverse_order}}) {
+    expect_violation(
+        "san_test_write_arg0", "[W1]", NDRange{64}, NDRange{},
+        [](Context& ctx, Kernel& k, std::vector<Buffer>& bufs) {
+          bufs.push_back(
+              ctx.create_buffer(MemFlags::ReadOnly, 64 * sizeof(float)));
+          k.set_arg(0, bufs.back());
+        },
+        std::move(order));
+  }
+}
+
+TEST(SanChecked, FollowsDispatchOrder) {
+  CpuDevice dev = checked_device(&reverse_order);
+  Context ctx(dev);
+  CommandQueue q(ctx);
+  Kernel k = ctx.create_kernel(Program::builtin(), "san_test_group_order");
+  std::vector<unsigned> order(4, 99), next(1, 0);
+  Buffer order_buf(MemFlags::ReadWrite | MemFlags::UseHostPtr,
+                   order.size() * sizeof(unsigned), order.data());
+  Buffer next_buf(MemFlags::ReadWrite | MemFlags::UseHostPtr,
+                  sizeof(unsigned), next.data());
+  k.set_arg(0, order_buf);
+  k.set_arg(1, next_buf);
+  (void)q.enqueue_ndrange(k, NDRange{64}, NDRange{16});
+  EXPECT_EQ(order, (std::vector<unsigned>{3, 2, 1, 0}));
 }
 
 TEST(SanChecked, CatchesLocalOverflow) {

@@ -10,7 +10,9 @@
 //  - clReleaseDevice on a sub-device with live queues is safe (the queue and
 //    context keep the shard alive until the last release),
 //  - tuner entries are keyed on the SUB-DEVICE width, not the parent pool
-//    width (regression for the shard-width keying fix).
+//    width (regression for the shard-width keying fix),
+//  - pinned (enqueue_ndrange_pinned) and pooled launches on one device,
+//    from two host threads, run race-free and compute correctly.
 //
 // ctest sets MCL_CPU_THREADS=4 so the pool is partitionable even on
 // single-core CI hosts; when run by hand on a narrower pool the sharding
@@ -30,7 +32,9 @@
 #include "ocl/device.hpp"
 #include "ocl/kernel.hpp"
 #include "ocl/platform.hpp"
+#include "ocl/queue.hpp"
 #include "ocl/types.hpp"
+#include "threading/affinity.hpp"
 #include "tune/tune.hpp"
 
 namespace {
@@ -324,6 +328,68 @@ TEST(SubDeviceTuner, EntriesKeyedOnShardWidth) {
 
   tuner.reset();
   tuner.set_mode(tune::Mode::Off);
+}
+
+// ---------------------------------------------------------------------------
+// The pinned placement takes the device's launch mutex like the pooled one:
+// one host thread issuing pinned launches and another issuing pooled ones on
+// the same device must run race-free (the TSan stage runs this label) and
+// both stay correct.
+
+TEST(SubDevicePinned, PinnedAndPooledLaunchesShareOneDevice) {
+  CpuDevice dev(mcl::ocl::CpuDeviceConfig{.threads = 2});
+  mcl::ocl::Context ctx(dev);
+  constexpr std::size_t kItems = 1024, kLocal = 64;
+  constexpr int kLaunches = 50;
+  std::vector<int> map(kItems / kLocal);
+  for (std::size_t g = 0; g < map.size(); ++g) {
+    map[g] = static_cast<int>(g) % mcl::threading::logical_cpu_count();
+  }
+
+  struct Host {
+    std::vector<float> in = std::vector<float>(kItems);
+    std::vector<float> out = std::vector<float>(kItems);
+    mcl::ocl::Buffer bin{mcl::ocl::MemFlags::ReadOnly |
+                             mcl::ocl::MemFlags::UseHostPtr,
+                         kItems * sizeof(float), in.data()};
+    mcl::ocl::Buffer bout{mcl::ocl::MemFlags::ReadWrite |
+                              mcl::ocl::MemFlags::UseHostPtr,
+                          kItems * sizeof(float), out.data()};
+  };
+  Host hosts[2];
+  std::vector<mcl::ocl::Kernel> kernels;
+  for (int h = 0; h < 2; ++h) {
+    for (std::size_t i = 0; i < kItems; ++i) {
+      hosts[h].in[i] = static_cast<float>(i % 256 + h);
+    }
+    kernels.push_back(
+        ctx.create_kernel(mcl::ocl::Program::builtin(), "square"));
+    kernels.back().set_arg(0, hosts[h].bin);
+    kernels.back().set_arg(1, hosts[h].bout);
+  }
+
+  std::atomic<int> failures{0};
+  const auto run = [&](int h) {
+    const bool pinned = h == 0;
+    mcl::ocl::CommandQueue q(ctx);
+    for (int rep = 0; rep < kLaunches; ++rep) {
+      std::fill(hosts[h].out.begin(), hosts[h].out.end(), -1.0f);
+      if (pinned) {
+        (void)q.enqueue_ndrange_pinned(kernels[h], NDRange{kItems},
+                                       NDRange{kLocal}, map);
+      } else {
+        (void)q.enqueue_ndrange(kernels[h], NDRange{kItems}, NDRange{kLocal});
+      }
+      for (std::size_t i = 0; i < kItems; ++i) {
+        if (hosts[h].out[i] != hosts[h].in[i] * hosts[h].in[i]) ++failures;
+      }
+    }
+  };
+  std::thread pinned_host(run, 0);
+  std::thread pooled_host(run, 1);
+  pinned_host.join();
+  pooled_host.join();
+  EXPECT_EQ(0, failures.load());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <latch>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 
 #include "ocl/queue.hpp"
 #include "san/lint.hpp"
+#include "threading/affinity.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 
@@ -208,48 +210,94 @@ TEST(TraceClExt, BeginEndCounterRoundTrip) {
   EXPECT_EQ(events[2].event.type, EventType::End);
 }
 
-// The shared-epoch regression (ISSUE 3 satellite): AsyncEvent profiling
-// timestamps and trace spans both use core::steady_now_ns, so a kernel's
-// Running->Complete window must enclose every workgroup span it produced.
+// The shared-epoch regression: AsyncEvent profiling timestamps and trace
+// spans both use core::steady_now_ns, so a kernel's Running->Complete window
+// must enclose every workgroup span it produced. Every placement of the CPU
+// launch body (pooled, dispatch_order, pinned, Checked) must emit one
+// launch: span enclosing one wg: span per group; pinned launches are
+// blocking, so they have no profiling window to check.
 TEST(TraceEpoch, KernelProfilingWindowEnclosesWorkgroupSpans) {
-  ocl::CpuDevice dev(ocl::CpuDeviceConfig{.threads = 2});
-  ocl::Context ctx(dev);
-  constexpr std::size_t n = 1024;
-  ocl::Buffer in(ocl::MemFlags::ReadWrite, n * 4);
-  ocl::Buffer out(ocl::MemFlags::ReadWrite, n * 4);
-  ocl::Kernel kernel = ctx.create_kernel(ocl::Program::builtin(), "square");
-  kernel.set_arg(0, in);
-  kernel.set_arg(1, out);
+  enum class Placement { Pooled, DispatchOrder, Pinned, Checked };
+  for (const Placement placement :
+       {Placement::Pooled, Placement::DispatchOrder, Placement::Pinned,
+        Placement::Checked}) {
+    SCOPED_TRACE(static_cast<int>(placement));
+    ocl::CpuDeviceConfig config{.threads = 2};
+    if (placement == Placement::DispatchOrder) {
+      config.dispatch_order = [](std::size_t k, std::size_t total) {
+        return total - 1 - k;
+      };
+    } else if (placement == Placement::Checked) {
+      config.executor = ocl::ExecutorKind::Checked;
+    }
+    ocl::CpuDevice dev(config);
+    ocl::Context ctx(dev);
+    constexpr std::size_t n = 1024;
+    ocl::Buffer in(ocl::MemFlags::ReadWrite, n * 4);
+    ocl::Buffer out(ocl::MemFlags::ReadWrite, n * 4);
+    ocl::Kernel kernel = ctx.create_kernel(ocl::Program::builtin(), "square");
+    kernel.set_arg(0, in);
+    kernel.set_arg(1, out);
 
-  start(/*drain_interval_ms=*/10);
-  ocl::AsyncEventPtr ev;
-  {
-    ocl::CommandQueue queue(ctx);
-    ev = queue.enqueue_ndrange_async(kernel, ocl::NDRange{n}, ocl::NDRange{64});
-    ev->wait();
-  }
-  const ocl::ProfilingInfo prof = ev->profiling_ns();
-  stop();
+    start(/*drain_interval_ms=*/10);
+    ocl::AsyncEventPtr ev;
+    {
+      ocl::CommandQueue queue(ctx);
+      if (placement == Placement::Pinned) {
+        std::vector<int> map(n / 64);
+        for (std::size_t g = 0; g < map.size(); ++g) {
+          map[g] = static_cast<int>(g) % threading::logical_cpu_count();
+        }
+        (void)queue.enqueue_ndrange_pinned(kernel, ocl::NDRange{n},
+                                           ocl::NDRange{64}, map);
+      } else {
+        ev = queue.enqueue_ndrange_async(kernel, ocl::NDRange{n},
+                                         ocl::NDRange{64});
+        ev->wait();
+      }
+    }
+    stop();
 
-  std::size_t wg_spans = 0;
-  bool saw_cmd_kernel = false;
-  for (const TaggedEvent& te : collect()) {
-    const std::string_view name = te.event.name;
-    if (name == "wg:square") {
-      ++wg_spans;
-      EXPECT_GE(te.event.ts_ns, prof.started_ns);
-      EXPECT_LE(te.event.ts_ns + te.event.dur_ns, prof.ended_ns);
-    } else if (name == "cmd.kernel") {
-      saw_cmd_kernel = true;
-      EXPECT_EQ(te.event.ts_ns, prof.started_ns);
-      EXPECT_EQ(te.event.ts_ns + te.event.dur_ns, prof.ended_ns);
+    const std::vector<TaggedEvent> events = collect();
+    std::vector<TraceEvent> launches;
+    for (const TaggedEvent& te : events) {
+      if (std::string_view(te.event.name) == "launch:square") {
+        launches.push_back(te.event);
+      }
+    }
+    ASSERT_EQ(launches.size(), 1u);
+    const TraceEvent& launch = launches[0];
+    std::size_t wg_spans = 0;
+    bool saw_cmd_kernel = false;
+    for (const TaggedEvent& te : events) {
+      const std::string_view name = te.event.name;
+      if (name == "wg:square") {
+        ++wg_spans;
+        EXPECT_GE(te.event.ts_ns, launch.ts_ns);
+        EXPECT_LE(te.event.ts_ns + te.event.dur_ns,
+                  launch.ts_ns + launch.dur_ns);
+        if (ev != nullptr) {
+          EXPECT_GE(te.event.ts_ns, ev->profiling_ns().started_ns);
+          EXPECT_LE(te.event.ts_ns + te.event.dur_ns,
+                    ev->profiling_ns().ended_ns);
+        }
+      } else if (name == "cmd.kernel") {
+        saw_cmd_kernel = true;
+        ASSERT_NE(ev, nullptr);
+        EXPECT_EQ(te.event.ts_ns, ev->profiling_ns().started_ns);
+        EXPECT_EQ(te.event.ts_ns + te.event.dur_ns,
+                  ev->profiling_ns().ended_ns);
+      }
+    }
+    EXPECT_EQ(wg_spans, n / 64);
+    EXPECT_EQ(saw_cmd_kernel, ev != nullptr);
+    if (ev != nullptr) {
+      const ocl::ProfilingInfo prof = ev->profiling_ns();
+      EXPECT_GE(prof.submitted_ns, prof.queued_ns);
+      EXPECT_GE(prof.started_ns, prof.submitted_ns);
+      EXPECT_GE(prof.ended_ns, prof.started_ns);
     }
   }
-  EXPECT_EQ(wg_spans, n / 64);
-  EXPECT_TRUE(saw_cmd_kernel);
-  EXPECT_GE(prof.submitted_ns, prof.queued_ns);
-  EXPECT_GE(prof.started_ns, prof.submitted_ns);
-  EXPECT_GE(prof.ended_ns, prof.started_ns);
 }
 
 // Queued/dispatch phases of fast commands often round to zero nanoseconds;
